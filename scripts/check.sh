@@ -30,6 +30,10 @@ echo "== cluster-scale smoke: sharded parallel engine + autoscaled megafleet =="
 cmake --build build -j --target bench_ext_cluster_scale
 build/bench/bench_ext_cluster_scale --quick --selfcheck --out=build/BENCH_cluster_scale.json
 
+echo
+echo "== perfbench smoke: the benchmark builds against src/ and reports correct =="
+scripts/perfbench_smoke.sh
+
 if [ "$SANITIZE" = "1" ]; then
   echo
   echo "== tier-1 under ASan + UBSan =="

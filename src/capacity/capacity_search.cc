@@ -12,6 +12,8 @@
 namespace sarathi {
 namespace {
 
+// One probe's verdict. The latency fields are filled only when `ok`: only
+// passing probes can become the result.
 struct ProbeOutcome {
   double qps = 0.0;
   bool ok = false;
@@ -20,13 +22,30 @@ struct ProbeOutcome {
   double median_scheduling_delay_s = 0.0;
 };
 
+// Judges `result` against the SLOs, computing each statistic at most once.
+ProbeOutcome Judge(double qps, const SimResult& result, const CapacityOptions& options) {
+  ProbeOutcome outcome;
+  outcome.qps = qps;
+  double p99_tbt_s = result.P99Tbt();
+  if (p99_tbt_s > options.tbt_slo_s) {
+    return outcome;
+  }
+  double median_scheduling_delay_s = result.MedianSchedulingDelay();
+  // Negated so that a NaN delay fails, as a plain `<=` test would.
+  if (!(median_scheduling_delay_s <= options.max_median_scheduling_delay_s)) {
+    return outcome;
+  }
+  outcome.ok = true;
+  outcome.p99_tbt_s = p99_tbt_s;
+  outcome.median_scheduling_delay_s = median_scheduling_delay_s;
+  outcome.median_ttft_s = result.MedianTtft();
+  return outcome;
+}
+
 }  // namespace
 
 bool MeetsSlo(const SimResult& result, const CapacityOptions& options) {
-  if (result.P99Tbt() > options.tbt_slo_s) {
-    return false;
-  }
-  return result.MedianSchedulingDelay() <= options.max_median_scheduling_delay_s;
+  return Judge(0.0, result, options).ok;
 }
 
 CapacityResult FindCapacity(const SimulatorOptions& sim_options,
@@ -63,14 +82,7 @@ CapacityResult FindCapacity(const TraceRunner& runner, const CapacityOptions& op
           trace_options.qps = points[static_cast<size_t>(i)];
           trace_options.seed = options.seed;
           Trace trace = GenerateTrace(options.dataset, trace_options);
-          SimResult result = runner(trace);
-          ProbeOutcome outcome;
-          outcome.qps = points[static_cast<size_t>(i)];
-          outcome.ok = MeetsSlo(result, options);
-          outcome.p99_tbt_s = result.P99Tbt();
-          outcome.median_ttft_s = result.MedianTtft();
-          outcome.median_scheduling_delay_s = result.MedianSchedulingDelay();
-          return outcome;
+          return Judge(trace_options.qps, runner(trace), options);
         });
     best.probes += static_cast<int>(points.size());
     for (const ProbeOutcome& outcome : outcomes) {

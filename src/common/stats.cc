@@ -76,6 +76,26 @@ double Summary::Quantile(double q) const {
   return sorted_[lo] + frac * (sorted_[hi] - sorted_[lo]);
 }
 
+double SelectQuantile(std::vector<double>* samples, double q) {
+  CHECK_GE(q, 0.0);
+  CHECK_LE(q, 1.0);
+  std::vector<double>& s = *samples;
+  if (s.size() <= 1) {
+    return s.empty() ? 0.0 : s[0];
+  }
+  double rank = q * static_cast<double>(s.size() - 1);
+  size_t lo = static_cast<size_t>(rank);
+  double frac = rank - static_cast<double>(lo);
+  std::nth_element(s.begin(), s.begin() + static_cast<std::ptrdiff_t>(lo), s.end());
+  double a = s[lo];
+  // Everything after the selected element is >= it, so their minimum is the
+  // next order statistic.
+  double b = lo + 1 < s.size()
+                 ? *std::min_element(s.begin() + static_cast<std::ptrdiff_t>(lo) + 1, s.end())
+                 : a;
+  return a + frac * (b - a);
+}
+
 void RunningStats::Add(double sample) {
   if (count_ == 0) {
     min_ = sample;

@@ -46,6 +46,12 @@ class Summary {
   mutable bool sorted_valid_ = false;
 };
 
+// The q-quantile of `samples` by selection instead of a full sort, with the
+// same linear interpolation as Summary::Quantile. It reads the same two order
+// statistics a sorted copy would, so the result is bit-equal. Reorders
+// `samples` in place; returns 0 when it is empty.
+double SelectQuantile(std::vector<double>* samples, double q);
+
 // O(1)-memory mean/variance accumulator (Welford's algorithm).
 class RunningStats {
  public:

@@ -230,45 +230,60 @@ int64_t PagedBlockManager::SequenceTokens(SeqId id) const {
 }
 
 std::string PagedBlockManager::AuditInvariants() const {
-  std::ostringstream out;
-  // Expected refcount of every physical block, recounted from the tables.
-  std::vector<int32_t> expected(refcount_.size(), 0);
+  std::string error = AuditTables();
+  return error.empty() ? AuditRefcounts(" table references") : error;
+}
+
+std::string PagedBlockManager::AuditTables() const {
+  audit_expected_.assign(refcount_.size(), 0);
   for (const auto& [id, state] : tables_) {
     int64_t needed = BlocksForTokens(state.num_tokens);
     if (static_cast<int64_t>(state.blocks.size()) != needed) {
+      std::ostringstream out;
       out << "seq " << id << ": " << state.num_tokens << " tokens need " << needed
           << " blocks but the table holds " << state.blocks.size();
       return out.str();
     }
     for (int64_t block : state.blocks) {
       if (block < 0 || block >= options_.num_blocks) {
+        std::ostringstream out;
         out << "seq " << id << ": block id " << block << " out of range [0, "
             << options_.num_blocks << ")";
         return out.str();
       }
-      ++expected[static_cast<size_t>(block)];
+      ++audit_expected_[static_cast<size_t>(block)];
     }
   }
-  std::vector<bool> on_free_list(refcount_.size(), false);
+  return "";
+}
+
+std::string PagedBlockManager::AuditRefcounts(const char* sources) const {
+  std::vector<uint8_t>& on_free_list = audit_marks_;
+  on_free_list.assign(refcount_.size(), 0);
   for (int64_t block : free_list_) {
     if (block < 0 || block >= options_.num_blocks) {
+      std::ostringstream out;
       out << "free list holds out-of-range block id " << block;
       return out.str();
     }
     if (on_free_list[static_cast<size_t>(block)]) {
+      std::ostringstream out;
       out << "block " << block << " appears twice on the free list";
       return out.str();
     }
-    on_free_list[static_cast<size_t>(block)] = true;
+    on_free_list[static_cast<size_t>(block)] = 1;
   }
+  const std::vector<int32_t>& expected = audit_expected_;
   for (int64_t b = 0; b < options_.num_blocks; ++b) {
     auto i = static_cast<size_t>(b);
     if (refcount_[i] != expected[i]) {
+      std::ostringstream out;
       out << "block " << b << ": refcount " << refcount_[i] << " but " << expected[i]
-          << " table references" << (expected[i] == 0 ? " (leaked block)" : "");
+          << sources << (expected[i] == 0 ? " (leaked block)" : "");
       return out.str();
     }
-    if ((refcount_[i] == 0) != on_free_list[i]) {
+    if ((refcount_[i] == 0) != (on_free_list[i] != 0)) {
+      std::ostringstream out;
       out << "block " << b << ": refcount " << refcount_[i]
           << (on_free_list[i] ? " yet on the free list" : " yet missing from the free list");
       return out.str();

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -125,6 +126,15 @@ class PagedBlockManager : public KvAllocator {
   // instant for this sequence. No-op without obs hooks.
   void EmitKvObs(const char* event, SeqId id);
 
+  // The two halves of the refcount audit, which runs after every checked
+  // batch. AuditTables checks each block table and recounts its references
+  // into audit_expected_; a subclass adds its own reference sources there.
+  // AuditRefcounts then checks the free list, and each block's refcount
+  // against audit_expected_ (`sources` names them in the message). Both
+  // return an error, or "" when the pool is consistent.
+  std::string AuditTables() const;
+  std::string AuditRefcounts(const char* sources) const;
+
   Options options_;
   mutable SeqId hot_id_ = 0;
   mutable SequenceState* hot_state_ = nullptr;
@@ -133,6 +143,9 @@ class PagedBlockManager : public KvAllocator {
   std::vector<int32_t> refcount_;
   std::unordered_map<SeqId, SequenceState> tables_;
   std::vector<std::pair<SeqId, CowOp>> pending_cows_;
+  // Audit scratch, reused so that a passing audit allocates nothing.
+  mutable std::vector<int32_t> audit_expected_;
+  mutable std::vector<uint8_t> audit_marks_;
 };
 
 // Orca-style allocator: without paged memory, every admitted request reserves

@@ -316,49 +316,41 @@ int64_t PrefixCachingAllocator::DrainCache() {
 }
 
 std::string PrefixCachingAllocator::AuditInvariants() const {
-  std::ostringstream out;
   // Expected refcount of every block: table references plus one per index
   // node plus one per pinned node. Mirrors the base audit with the two cache
   // reference sources added.
-  std::vector<int32_t> expected(refcount_.size(), 0);
-  for (const auto& [id, state] : tables_) {
-    int64_t needed = BlocksForTokens(state.num_tokens);
-    if (static_cast<int64_t>(state.blocks.size()) != needed) {
-      out << "seq " << id << ": " << state.num_tokens << " tokens need " << needed
-          << " blocks but the table holds " << state.blocks.size();
-      return out.str();
-    }
-    for (int64_t block : state.blocks) {
-      if (block < 0 || block >= options_.num_blocks) {
-        out << "seq " << id << ": block id " << block << " out of range [0, "
-            << options_.num_blocks << ")";
-        return out.str();
-      }
-      ++expected[static_cast<size_t>(block)];
-    }
+  std::string error = AuditTables();
+  if (!error.empty()) {
+    return error;
   }
+  std::vector<int32_t>& expected = audit_expected_;
+  std::vector<uint8_t>& in_index = audit_marks_;
+  in_index.assign(refcount_.size(), 0);
   int64_t nodes_seen = 0;
-  std::vector<bool> in_index(refcount_.size(), false);
-  std::vector<const Node*> stack{&root_};
+  std::vector<const Node*>& stack = audit_stack_;
+  stack.assign(1, &root_);
   while (!stack.empty()) {
     const Node* node = stack.back();
     stack.pop_back();
     for (const auto& [key, child] : node->children) {
       ++nodes_seen;
       if (child->block < 0 || child->block >= options_.num_blocks) {
+        std::ostringstream out;
         out << "cached node holds out-of-range block id " << child->block;
         return out.str();
       }
       if (in_index[static_cast<size_t>(child->block)]) {
+        std::ostringstream out;
         out << "block " << child->block << " cached by two index nodes";
         return out.str();
       }
-      in_index[static_cast<size_t>(child->block)] = true;
+      in_index[static_cast<size_t>(child->block)] = 1;
       ++expected[static_cast<size_t>(child->block)];
       stack.push_back(child.get());
     }
   }
   if (nodes_seen != cached_count_) {
+    std::ostringstream out;
     out << "index holds " << nodes_seen << " nodes but cached_count_ says "
         << cached_count_;
     return out.str();
@@ -368,56 +360,33 @@ std::string PrefixCachingAllocator::AuditInvariants() const {
       ++expected[static_cast<size_t>(node->block)];
     }
   }
-  std::vector<bool> on_free_list(refcount_.size(), false);
-  for (int64_t block : free_list_) {
-    if (block < 0 || block >= options_.num_blocks) {
-      out << "free list holds out-of-range block id " << block;
-      return out.str();
-    }
-    if (on_free_list[static_cast<size_t>(block)]) {
-      out << "block " << block << " appears twice on the free list";
-      return out.str();
-    }
-    on_free_list[static_cast<size_t>(block)] = true;
-  }
-  for (int64_t b = 0; b < options_.num_blocks; ++b) {
-    auto i = static_cast<size_t>(b);
-    if (refcount_[i] != expected[i]) {
-      out << "block " << b << ": refcount " << refcount_[i] << " but " << expected[i]
-          << " references (tables + index + pins)"
-          << (expected[i] == 0 ? " (leaked block)" : "");
-      return out.str();
-    }
-    if ((refcount_[i] == 0) != on_free_list[i]) {
-      out << "block " << b << ": refcount " << refcount_[i]
-          << (on_free_list[i] ? " yet on the free list" : " yet missing from the free list");
-      return out.str();
-    }
-  }
-  return "";
+  return AuditRefcounts(" references (tables + index + pins)");
 }
 
 std::string PrefixCachingAllocator::AuditCache() const {
-  std::ostringstream out;
   // Structure: every cached block referenced at least once beyond the free
   // list (the index's own reference), chunk arithmetic intact, and chains
   // unbroken — a child's block may never outlive its parent's, which
   // leaf-first eviction guarantees by construction and this audit re-checks.
-  std::vector<const Node*> stack{&root_};
+  std::vector<const Node*>& stack = audit_stack_;
+  stack.assign(1, &root_);
   while (!stack.empty()) {
     const Node* node = stack.back();
     stack.pop_back();
     for (const auto& [key, child] : node->children) {
       if (child->parent != node || child->key != key) {
+        std::ostringstream out;
         out << "cached node for block " << child->block << " has a broken parent link";
         return out.str();
       }
       if (static_cast<int64_t>(child->chunk.size()) != options_.block_size) {
+        std::ostringstream out;
         out << "cached node for block " << child->block << " covers "
             << child->chunk.size() << " tokens, want " << options_.block_size;
         return out.str();
       }
       if (refcount_[static_cast<size_t>(child->block)] < 1) {
+        std::ostringstream out;
         out << "cached block " << child->block << " has refcount "
             << refcount_[static_cast<size_t>(child->block)] << " (evicted while mapped)";
         return out.str();
@@ -425,6 +394,7 @@ std::string PrefixCachingAllocator::AuditCache() const {
       if (node != &root_ &&
           refcount_[static_cast<size_t>(node->block)] <
               refcount_[static_cast<size_t>(child->block)]) {
+        std::ostringstream out;
         out << "cached block " << child->block << " (refcount "
             << refcount_[static_cast<size_t>(child->block)] << ") outranks its parent "
             << node->block << " (refcount " << refcount_[static_cast<size_t>(node->block)]
@@ -436,11 +406,13 @@ std::string PrefixCachingAllocator::AuditCache() const {
   }
   for (const auto& [id, pin] : pins_) {
     if (pin.nodes.empty()) {
+      std::ostringstream out;
       out << "seq " << id << ": empty pin registered";
       return out.str();
     }
     for (const Node* node : pin.nodes) {
       if (refcount_[static_cast<size_t>(node->block)] < 2) {
+        std::ostringstream out;
         out << "seq " << id << ": pinned block " << node->block
             << " has refcount < 2 (pin reference lost)";
         return out.str();

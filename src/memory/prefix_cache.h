@@ -129,6 +129,8 @@ class PrefixCachingAllocator final : public PagedBlockManager {
   // Token ids per known sequence, kept until the sequence is terminal so
   // finish-time retention can key the chain (survives preempt/recompute).
   std::unordered_map<SeqId, std::shared_ptr<const std::vector<int32_t>>> seq_tokens_;
+  // Depth-first walk stack of the audits, reused across calls.
+  mutable std::vector<const Node*> audit_stack_;
 };
 
 }  // namespace sarathi

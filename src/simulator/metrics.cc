@@ -26,17 +26,49 @@ std::string_view FailureKindName(FailureKind kind) {
   return "unknown";
 }
 
+void RequestMetrics::AppendTbtSamples(std::vector<double>* out) const {
+  for (size_t i = 1; i < token_times_s.size(); ++i) {
+    out->push_back(token_times_s[i] - token_times_s[i - 1]);
+  }
+}
+
 std::vector<double> RequestMetrics::TbtSamples() const {
   std::vector<double> samples;
-  if (token_times_s.size() < 2) {
-    return samples;
-  }
-  samples.reserve(token_times_s.size() - 1);
-  for (size_t i = 1; i < token_times_s.size(); ++i) {
-    samples.push_back(token_times_s[i] - token_times_s[i - 1]);
-  }
+  samples.reserve(NumTbtSamples());
+  AppendTbtSamples(&samples);
   return samples;
 }
+
+namespace {
+
+// Applies `fn` to every TBT sample of every request, without materializing
+// them.
+template <typename Fn>
+void ForEachTbt(const std::vector<RequestMetrics>& requests, Fn fn) {
+  for (const RequestMetrics& r : requests) {
+    const std::vector<double>& t = r.token_times_s;
+    for (size_t i = 1; i < t.size(); ++i) {
+      fn(t[i] - t[i - 1]);
+    }
+  }
+}
+
+// Median of the non-negative values of `value(r)` over all requests (the
+// negative ones mark "not yet happened"); 0 when there are none.
+template <typename Fn>
+double MedianOfNonNegative(const std::vector<RequestMetrics>& requests, Fn value) {
+  std::vector<double> samples;
+  samples.reserve(requests.size());
+  for (const RequestMetrics& r : requests) {
+    double v = value(r);
+    if (v >= 0.0) {
+      samples.push_back(v);
+    }
+  }
+  return SelectQuantile(&samples, 0.5);
+}
+
+}  // namespace
 
 Summary SimResult::TtftSummary() const {
   Summary summary;
@@ -51,9 +83,7 @@ Summary SimResult::TtftSummary() const {
 
 Summary SimResult::TbtSummary() const {
   Summary summary;
-  for (const auto& r : requests) {
-    summary.AddAll(r.TbtSamples());
-  }
+  ForEachTbt(requests, [&](double tbt) { summary.Add(tbt); });
   return summary;
 }
 
@@ -79,18 +109,25 @@ Summary SimResult::LatencySummary() const {
 }
 
 double SimResult::P99Tbt() const {
-  Summary summary = TbtSummary();
-  return summary.empty() ? 0.0 : summary.Quantile(0.99);
+  size_t count = 0;
+  for (const RequestMetrics& r : requests) {
+    count += r.NumTbtSamples();
+  }
+  std::vector<double> samples;
+  samples.reserve(count);
+  for (const RequestMetrics& r : requests) {
+    r.AppendTbtSamples(&samples);
+  }
+  return SelectQuantile(&samples, 0.99);
 }
 
 double SimResult::MedianTtft() const {
-  Summary summary = TtftSummary();
-  return summary.empty() ? 0.0 : summary.Median();
+  return MedianOfNonNegative(requests, [](const RequestMetrics& r) { return r.Ttft(); });
 }
 
 double SimResult::MedianSchedulingDelay() const {
-  Summary summary = SchedulingDelaySummary();
-  return summary.empty() ? 0.0 : summary.Median();
+  return MedianOfNonNegative(requests,
+                             [](const RequestMetrics& r) { return r.SchedulingDelay(); });
 }
 
 double SimResult::BubbleFraction() const {
@@ -126,11 +163,7 @@ double SimResult::RequestThroughput() const {
 
 int64_t SimResult::CountStalls(double threshold_s) const {
   int64_t stalls = 0;
-  for (const auto& r : requests) {
-    for (double tbt : r.TbtSamples()) {
-      stalls += tbt > threshold_s ? 1 : 0;
-    }
-  }
+  ForEachTbt(requests, [&](double tbt) { stalls += tbt > threshold_s ? 1 : 0; });
   return stalls;
 }
 
@@ -207,11 +240,8 @@ double SimResult::SloAttainment(double ttft_slo_s, double tbt_slo_s) const {
       continue;
     }
     bool ok = true;
-    for (double tbt : r.TbtSamples()) {
-      if (tbt > tbt_slo_s) {
-        ok = false;
-        break;
-      }
+    for (size_t i = 1; ok && i < r.token_times_s.size(); ++i) {
+      ok = !(r.token_times_s[i] - r.token_times_s[i - 1] > tbt_slo_s);
     }
     attained += ok ? 1 : 0;
   }
@@ -220,11 +250,7 @@ double SimResult::SloAttainment(double ttft_slo_s, double tbt_slo_s) const {
 
 double SimResult::MaxTbt() const {
   double max_tbt = 0.0;
-  for (const auto& r : requests) {
-    for (double tbt : r.TbtSamples()) {
-      max_tbt = std::max(max_tbt, tbt);
-    }
-  }
+  ForEachTbt(requests, [&](double tbt) { max_tbt = std::max(max_tbt, tbt); });
   return max_tbt;
 }
 

@@ -79,6 +79,11 @@ struct RequestMetrics {
   }
   // Gaps between consecutive output tokens.
   std::vector<double> TbtSamples() const;
+  size_t NumTbtSamples() const {
+    return token_times_s.empty() ? 0 : token_times_s.size() - 1;
+  }
+  // Appends the gaps to `out` (no allocation when it has the capacity).
+  void AppendTbtSamples(std::vector<double>* out) const;
 };
 
 // One scheduled iteration, for schedule traces and bubble analyses.

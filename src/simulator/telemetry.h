@@ -17,6 +17,10 @@
 
 namespace sarathi {
 
+// Every writer formats numbers as a default-formatted std::ostream prints
+// them (doubles as printf "%.6g"), whatever flags `out` carries, and hands
+// `out` its bytes in large chunks.
+
 // RFC 4180 CSV field escaping: fields containing commas, quotes, or newlines
 // are double-quoted with embedded quotes doubled; everything else passes
 // through unchanged. All telemetry writers share this.

@@ -1,6 +1,7 @@
 #include "src/verify/invariant_checker.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -203,14 +204,24 @@ void InvariantChecker::AuditKv(const char* where) {
 }
 
 void InvariantChecker::CheckBatchSanity(const ScheduledBatch& batch) {
-  std::unordered_set<const RequestState*> seen;
-  for (const auto& item : batch.items) {
+  // Items sorted by (request, position): an item repeats its request exactly
+  // when its sorted predecessor carries the same request.
+  std::vector<std::pair<const RequestState*, size_t>>& by_request = batch_items_scratch_;
+  by_request.clear();
+  for (size_t i = 0; i < batch.items.size(); ++i) {
+    by_request.emplace_back(batch.items[i].request, i);
+  }
+  std::sort(by_request.begin(), by_request.end());
+  for (size_t i = 0; i < batch.items.size(); ++i) {
+    const auto& item = batch.items[i];
     if (item.request == nullptr) {
       AddViolation(Invariant::kBatchSanity, -1, "batch item with null request");
       continue;
     }
     const RequestState* request = item.request;
-    if (!seen.insert(request).second) {
+    auto self = std::lower_bound(by_request.begin(), by_request.end(),
+                                 std::make_pair(request, i));
+    if (self != by_request.begin() && std::prev(self)->first == request) {
       AddViolation(Invariant::kBatchSanity, request->id(),
                    "request appears twice in one batch");
       continue;
@@ -282,15 +293,17 @@ void InvariantChecker::CheckStallFree(const ScheduledBatch& batch) {
   if (allocator_->total_units() - allocator_->used_units() <= 0) {
     return;
   }
-  std::unordered_set<const RequestState*> in_batch;
+  std::vector<const RequestState*>& in_batch = batch_requests_scratch_;
+  in_batch.clear();
   for (const auto& item : batch.items) {
-    in_batch.insert(item.request);
+    in_batch.push_back(item.request);
   }
+  std::sort(in_batch.begin(), in_batch.end());
   for (const RequestState* request : scheduler_->running()) {
     if (request->locked() || !request->prefill_complete() || request->finished()) {
       continue;
     }
-    if (!in_batch.contains(request)) {
+    if (!std::binary_search(in_batch.begin(), in_batch.end(), request)) {
       std::ostringstream out;
       out << "running decode-ready request skipped while the batch carries "
           << batch.NumPrefillTokens() << " prefill tokens, "

@@ -259,6 +259,11 @@ class InvariantChecker final : public VerifyHook {
   std::unordered_map<const RequestState*, Shadow> shadows_;
   std::unordered_set<int64_t> live_kv_;
   int64_t enqueue_counter_ = 0;
+
+  // Per-batch scratch of CheckBatchSanity and CheckStallFree, reused so that
+  // the checks allocate nothing in steady state.
+  std::vector<std::pair<const RequestState*, size_t>> batch_items_scratch_;
+  std::vector<const RequestState*> batch_requests_scratch_;
 };
 
 }  // namespace sarathi

@@ -38,6 +38,10 @@ struct DatasetCase {
   double output_median;
 };
 
+// Without this, gtest names each case by a byte dump of the struct, which
+// holds pointers and so changes from one process to the next.
+void PrintTo(const DatasetCase& c, std::ostream* os) { *os << c.label; }
+
 class DatasetFitTest : public ::testing::TestWithParam<DatasetCase> {};
 
 TEST_P(DatasetFitTest, MatchesTable2Statistics) {
