@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Benchmark smoke: builds perfbench/ against src/ in Release (perfbench/run.py
-# does the build) and runs its replica and cluster workloads for one second
-# each. Fails unless both build, run and report "correct": true on their last
-# output line, so a src/ change that breaks the benchmark's build or its
-# result checks is caught before the benchmark is next run.
+# does the build) and runs its replica, cluster and checked workloads for one
+# second each. Fails unless each builds, runs and reports "correct": true on
+# its last output line, so a src/ change that breaks the benchmark's build or
+# its result checks is caught before the benchmark is next run. The checked
+# workload covers the invariant checker and the allocator under KV pressure.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-for workload in replica cluster; do
+for workload in replica cluster checked; do
   echo "== perfbench $workload =="
   result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 |
     tail -n 1)

@@ -87,25 +87,20 @@ bool PagedBlockManager::CanAdmit(int64_t prompt_len, int64_t /*max_total_len*/) 
 void PagedBlockManager::Admit(SeqId id, int64_t prompt_len, int64_t max_total_len) {
   CHECK(!tables_.contains(id)) << "sequence " << id << " already admitted";
   CHECK(CanAdmit(prompt_len, max_total_len));
-  SequenceState state;
   int64_t needed = BlocksForTokens(prompt_len);
   // Reserve table capacity for the sequence's full lifetime so decode-time
   // AppendToken block growth never reallocates the table.
-  state.blocks.reserve(
-      static_cast<size_t>(std::max(needed, BlocksForTokens(max_total_len))));
+  std::vector<int64_t> blocks;
+  blocks.reserve(static_cast<size_t>(std::max(needed, BlocksForTokens(max_total_len))));
   for (int64_t i = 0; i < needed; ++i) {
-    state.blocks.push_back(AllocateBlock());
+    blocks.push_back(AllocateBlock());
   }
-  state.num_tokens = prompt_len;
-  tables_.emplace(id, std::move(state));
+  AdmitTable(id, std::move(blocks), prompt_len);
   NotifyKv(obs_, KvVerifyEvent::kAdmit, id);
   EmitKvObs("kv_admit", id);
 }
 
-PagedBlockManager::SequenceState& PagedBlockManager::FindState(SeqId id) const {
-  if (hot_state_ != nullptr && hot_id_ == id) {
-    return *hot_state_;
-  }
+const PagedBlockManager::SequenceState& PagedBlockManager::FindStateSlow(SeqId id) const {
   auto it = tables_.find(id);
   CHECK(it != tables_.end()) << "unknown sequence " << id;
   hot_id_ = id;
@@ -126,21 +121,21 @@ bool PagedBlockManager::CanAppendToken(SeqId id) const {
 }
 
 void PagedBlockManager::AppendToken(SeqId id) {
-  SequenceState& state = FindState(id);
+  const SequenceState& state = FindState(id);
   int64_t needed = BlocksForTokens(state.num_tokens + 1);
   if (needed > static_cast<int64_t>(state.blocks.size())) {
     CHECK_GT(free_blocks(), 0) << "AppendToken without a free block";
-    state.blocks.push_back(AllocateBlock());
+    PushTableBlock(id, AllocateBlock());
   } else {
     // Writing into an existing block requires exclusive ownership; forked
     // sequences copy-on-write here, and the event is queued for the engine
     // to apply the data copy (TakePendingCows).
-    std::optional<CowOp> cow = MakeWritableAt(state, id, state.num_tokens);
+    std::optional<CowOp> cow = MakeWritableAt(id, state, state.num_tokens);
     if (cow.has_value()) {
       pending_cows_.emplace_back(id, *cow);
     }
   }
-  ++state.num_tokens;
+  BumpTokens(id);
   NotifyKv(obs_, KvVerifyEvent::kAppend, id);
   EmitKvObs(nullptr, id);  // Counter only; per-token instants would flood.
 }
@@ -152,26 +147,26 @@ std::vector<std::pair<SeqId, PagedBlockManager::CowOp>> PagedBlockManager::TakeP
 }
 
 std::optional<PagedBlockManager::CowOp> PagedBlockManager::AppendTokenCow(SeqId id) {
-  SequenceState& state = FindState(id);
+  const SequenceState& state = FindState(id);
   int64_t needed = BlocksForTokens(state.num_tokens + 1);
   std::optional<CowOp> cow;
   if (needed > static_cast<int64_t>(state.blocks.size())) {
     CHECK_GT(free_blocks(), 0) << "AppendTokenCow without a free block";
-    state.blocks.push_back(AllocateBlock());
+    PushTableBlock(id, AllocateBlock());
   } else {
-    cow = MakeWritableAt(state, id, state.num_tokens);
+    cow = MakeWritableAt(id, state, state.num_tokens);
   }
-  ++state.num_tokens;
+  BumpTokens(id);
   NotifyKv(obs_, KvVerifyEvent::kAppend, id);
   return cow;
 }
 
 std::optional<PagedBlockManager::CowOp> PagedBlockManager::MakeWritable(SeqId id, int64_t pos) {
-  return MakeWritableAt(FindState(id), id, pos);
+  return MakeWritableAt(id, FindState(id), pos);
 }
 
-std::optional<PagedBlockManager::CowOp> PagedBlockManager::MakeWritableAt(SequenceState& state,
-                                                                          SeqId id, int64_t pos) {
+std::optional<PagedBlockManager::CowOp> PagedBlockManager::MakeWritableAt(
+    SeqId id, const SequenceState& state, int64_t pos) {
   int64_t index = BlockIndexFor(pos);
   CHECK_LT(index, static_cast<int64_t>(state.blocks.size()))
       << "position " << pos << " not covered";
@@ -182,7 +177,7 @@ std::optional<PagedBlockManager::CowOp> PagedBlockManager::MakeWritableAt(Sequen
   CHECK_GT(free_blocks(), 0) << "copy-on-write without a free block";
   int64_t fresh = AllocateBlock();
   ReleaseBlockRef(block);
-  state.blocks[static_cast<size_t>(index)] = fresh;
+  ReplaceTableBlock(id, index, fresh);
   NotifyKv(obs_, KvVerifyEvent::kCow, id);
   return CowOp{index, block, fresh};
 }
@@ -192,27 +187,18 @@ bool PagedBlockManager::CanFork(SeqId id) const {
 }
 
 void PagedBlockManager::Fork(SeqId parent, SeqId child) {
-  auto it = tables_.find(parent);
-  CHECK(it != tables_.end()) << "unknown sequence " << parent;
-  CHECK(!tables_.contains(child)) << "sequence " << child << " already admitted";
-  SequenceState copy = it->second;
-  for (int64_t block : copy.blocks) {
-    ++refcount_[static_cast<size_t>(block)];
+  ForkTable(parent, child);
+  for (int64_t block : FindState(child).blocks) {
+    AddBlockRef(block);
   }
-  tables_.emplace(child, std::move(copy));
   NotifyKv(obs_, KvVerifyEvent::kFork, child);
   EmitKvObs("kv_fork", child);
 }
 
 void PagedBlockManager::Release(SeqId id) {
-  auto it = tables_.find(id);
-  CHECK(it != tables_.end()) << "unknown sequence " << id;
-  for (int64_t block : it->second.blocks) {
+  for (int64_t block : EraseTable(id)) {
     ReleaseBlockRef(block);
   }
-  tables_.erase(it);
-  // The erased entry may be the memoized one; drop it unconditionally.
-  hot_state_ = nullptr;
   NotifyKv(obs_, KvVerifyEvent::kRelease, id);
   EmitKvObs("kv_release", id);
 }
@@ -306,7 +292,18 @@ int64_t PagedBlockManager::AllocateBlock() {
   free_list_.pop_back();
   CHECK_EQ(refcount_[static_cast<size_t>(block)], 0);
   refcount_[static_cast<size_t>(block)] = 1;
+  if (tracking_) {
+    --free_copies_[static_cast<size_t>(block)];
+    MarkBlock(block);
+  }
   return block;
+}
+
+void PagedBlockManager::AddBlockRef(int64_t block) {
+  CHECK_GE(block, 0);
+  CHECK_LT(block, options_.num_blocks);
+  ++refcount_[static_cast<size_t>(block)];
+  if (tracking_) MarkBlock(block);
 }
 
 void PagedBlockManager::ReleaseBlockRef(int64_t block) {
@@ -316,7 +313,158 @@ void PagedBlockManager::ReleaseBlockRef(int64_t block) {
   CHECK_GT(count, 0);
   if (--count == 0) {
     free_list_.push_back(block);
+    if (tracking_) ++free_copies_[static_cast<size_t>(block)];
   }
+  if (tracking_) MarkBlock(block);
+}
+
+void PagedBlockManager::AdmitTable(SeqId id, std::vector<int64_t> blocks, int64_t num_tokens) {
+  CHECK(!tables_.contains(id)) << "sequence " << id << " already admitted";
+  for (int64_t block : blocks) {
+    CountSlot(block, +1);
+  }
+  tables_.emplace(id, SequenceState{std::move(blocks), num_tokens});
+  MarkSequence(id);
+}
+
+void PagedBlockManager::PushTableBlock(SeqId id, int64_t block) {
+  MutableState(id).blocks.push_back(block);
+  CountSlot(block, +1);
+  MarkSequence(id);
+}
+
+int64_t PagedBlockManager::ReplaceTableBlock(SeqId id, int64_t index, int64_t block) {
+  std::vector<int64_t>& blocks = MutableState(id).blocks;
+  CHECK_GE(index, 0);
+  CHECK_LT(index, static_cast<int64_t>(blocks.size()));
+  int64_t& slot = blocks[static_cast<size_t>(index)];
+  int64_t old = slot;
+  slot = block;
+  CountSlot(old, -1);
+  CountSlot(block, +1);
+  return old;  // The table's length, all its audit checks, is unchanged.
+}
+
+void PagedBlockManager::ForkTable(SeqId parent, SeqId child) {
+  auto it = tables_.find(parent);
+  CHECK(it != tables_.end()) << "unknown sequence " << parent;
+  AdmitTable(child, it->second.blocks, it->second.num_tokens);
+}
+
+std::vector<int64_t> PagedBlockManager::EraseTable(SeqId id) {
+  auto it = tables_.find(id);
+  CHECK(it != tables_.end()) << "unknown sequence " << id;
+  std::vector<int64_t> blocks = std::move(it->second.blocks);
+  tables_.erase(it);
+  // The erased entry may be the memoized one; drop it unconditionally.
+  hot_state_ = nullptr;
+  for (int64_t block : blocks) {
+    CountSlot(block, -1);
+  }
+  return blocks;
+}
+
+void PagedBlockManager::BumpTokens(SeqId id) {
+  ++MutableState(id).num_tokens;
+  MarkSequence(id);
+}
+
+void PagedBlockManager::MarkBlock(int64_t block) {
+  uint8_t& dirty = block_dirty_[static_cast<size_t>(block)];
+  if (!dirty) {
+    dirty = 1;
+    dirty_blocks_.push_back(block);
+  }
+}
+
+void PagedBlockManager::CountSlot(int64_t block, int32_t delta) {
+  if (!tracking_) {
+    return;
+  }
+  if (block < 0 || block >= options_.num_blocks) {
+    bad_slots_ += delta;
+    return;
+  }
+  slot_refs_[static_cast<size_t>(block)] += delta;
+  MarkBlock(block);
+}
+
+void PagedBlockManager::StartTracking() const {
+  // A passing full audit left the table recount in audit_expected_ and the
+  // free-list membership (no duplicates) in audit_marks_.
+  slot_refs_ = audit_expected_;
+  free_copies_.assign(audit_marks_.begin(), audit_marks_.end());
+  bad_slots_ = 0;
+  block_dirty_.assign(refcount_.size(), 0);
+  dirty_blocks_.clear();
+  dirty_seqs_.clear();
+  tracking_ = true;
+}
+
+// Exactness. The full audit is a conjunction of per-sequence predicates
+// (table length matches the token count, block ids in range) and per-block
+// predicates (refcount equals the table slots referencing the block, at most
+// one free-list copy, refcount zero iff on the free list). The previous
+// audit certified all of them. Since then only the mutators have written the
+// pool state, since it is private, and each marked the sequences and blocks
+// whose predicates it could change, keeping slot_refs_, free_copies_ and
+// bad_slots_ equal to what a recount would find. Unmarked items therefore
+// still pass, so checking the marked ones gives the full audit's verdict. A
+// failure drops tracking: the broken item stays unmarked, so later calls
+// fall back to full audits until one passes and re-seeds the ledger.
+std::string PagedBlockManager::AuditChanges() const {
+  if (!tracking_) {
+    std::string error = PagedBlockManager::AuditInvariants();
+    if (error.empty()) {
+      StartTracking();
+    }
+    return error;
+  }
+  std::string error = AuditMarked();
+  for (int64_t block : dirty_blocks_) {
+    block_dirty_[static_cast<size_t>(block)] = 0;
+  }
+  dirty_blocks_.clear();
+  dirty_seqs_.clear();
+  if (!error.empty()) {
+    tracking_ = false;
+  }
+  return error;
+}
+
+std::string PagedBlockManager::AuditMarked() const {
+  if (bad_slots_ != 0) {
+    std::ostringstream out;
+    out << bad_slots_ << " table slots hold block ids outside [0, " << options_.num_blocks
+        << ")";
+    return out.str();
+  }
+  for (SeqId id : dirty_seqs_) {
+    auto it = tables_.find(id);
+    if (it == tables_.end()) {
+      continue;  // Released since it was marked.
+    }
+    const SequenceState& state = it->second;
+    int64_t needed = BlocksForTokens(state.num_tokens);
+    if (static_cast<int64_t>(state.blocks.size()) != needed) {
+      std::ostringstream out;
+      out << "seq " << id << ": " << state.num_tokens << " tokens need " << needed
+          << " blocks but the table holds " << state.blocks.size();
+      return out.str();
+    }
+  }
+  for (int64_t block : dirty_blocks_) {
+    auto b = static_cast<size_t>(block);
+    // Referenced exactly by its table slots, and on the free list exactly
+    // once when free and never when used.
+    if (refcount_[b] != slot_refs_[b] || free_copies_[b] != (refcount_[b] == 0 ? 1 : 0)) {
+      std::ostringstream out;
+      out << "block " << block << ": refcount " << refcount_[b] << ", " << slot_refs_[b]
+          << " table references, " << free_copies_[b] << " free-list copies";
+      return out.str();
+    }
+  }
+  return "";
 }
 
 ReservationAllocator::ReservationAllocator(int64_t capacity_tokens, int64_t max_seq_len)

@@ -62,6 +62,10 @@ class PagedBlockManager : public KvAllocator {
   int64_t total_units() const override { return options_.num_blocks; }
   int64_t num_sequences() const override { return static_cast<int64_t>(tables_.size()); }
   std::string AuditInvariants() const override;
+  // Audits only the sequences and blocks the mutators marked since the
+  // previous call, with the verdict AuditInvariants() would give. A subclass
+  // that adds reference sources of its own must override it.
+  std::string AuditChanges() const override;
 
   // ---- Sharing / copy-on-write ----
 
@@ -100,9 +104,11 @@ class PagedBlockManager : public KvAllocator {
   int64_t SequenceTokens(SeqId id) const;
 
  protected:
-  // Internals are protected (not private) so PrefixCachingAllocator can layer
-  // a radix index over the same block pool without duplicating the
-  // refcount/free-list machinery.
+  // The pool state (refcounts, free list, block tables) is private; a
+  // subclass such as PrefixCachingAllocator reads it through the const
+  // accessors and writes it only through the mutators below. Every mutator
+  // marks the blocks and sequences it touches, which is what lets
+  // AuditChanges() audit only those (see there).
   struct SequenceState {
     std::vector<int64_t> blocks;
     int64_t num_tokens = 0;
@@ -112,30 +118,81 @@ class PagedBlockManager : public KvAllocator {
   // scheduler's per-token hot path probes CanAppendToken and then AppendToken
   // for the same sequence back to back, so the memo removes most hash
   // lookups. unordered_map element addresses survive rehashing, so the memo
-  // only needs invalidation when an entry can disappear (Release).
-  SequenceState& FindState(SeqId id) const;
-  // MakeWritable body for a state already in hand (AppendToken has it).
-  std::optional<CowOp> MakeWritableAt(SequenceState& state, SeqId id, int64_t pos);
+  // only needs invalidation when an entry can disappear (EraseTable). The
+  // memo hit is inline, so a mutator that looks up again the state its
+  // caller just found pays two compares.
+  const SequenceState& FindState(SeqId id) const {
+    return hot_state_ != nullptr && hot_id_ == id ? *hot_state_ : FindStateSlow(id);
+  }
+  // BlockRefCount without the range check, for the prefix index's walks.
+  int32_t refcount(int64_t block) const { return refcount_[static_cast<size_t>(block)]; }
 
+  // ---- Refcount mutators ----
+  // Pops a free block and gives it one reference.
   int64_t AllocateBlock();
+  // Adds one reference to a block (a fork, a prefix pin, the cache index).
+  void AddBlockRef(int64_t block);
   // Drops one reference; the block returns to the free list at zero.
   void ReleaseBlockRef(int64_t block);
+
+  // ---- Block-table mutators ----
+  // These change table slots and token counts, never a refcount: the caller
+  // pairs each slot change with the refcount operation it implies, and the
+  // incremental audit checks that the two sides agree.
+  // Creates `id`'s table holding `blocks`, which must already carry the
+  // table's references.
+  void AdmitTable(SeqId id, std::vector<int64_t> blocks, int64_t num_tokens);
+  // Appends `block` to `id`'s table.
+  void PushTableBlock(SeqId id, int64_t block);
+  // Points slot `index` of `id`'s table at `block`; returns the old block.
+  int64_t ReplaceTableBlock(SeqId id, int64_t index, int64_t block);
+  // Gives `child` a copy of `parent`'s table.
+  void ForkTable(SeqId parent, SeqId child);
+  // Removes `id`'s table and returns its blocks, whose references the caller
+  // still holds.
+  std::vector<int64_t> EraseTable(SeqId id);
+  // Counts one more token in `id`'s table.
+  void BumpTokens(SeqId id);
+
   // Logical token position -> index into the sequence's block table.
   int64_t BlockIndexFor(int64_t pos) const;
   // Emits the blocks-in-use counter (when it changed) and an optional named
   // instant for this sequence. No-op without obs hooks.
   void EmitKvObs(const char* event, SeqId id);
 
-  // The two halves of the refcount audit, which runs after every checked
-  // batch. AuditTables checks each block table and recounts its references
-  // into audit_expected_; a subclass adds its own reference sources there.
-  // AuditRefcounts then checks the free list, and each block's refcount
-  // against audit_expected_ (`sources` names them in the message). Both
-  // return an error, or "" when the pool is consistent.
+  // The two halves of the full refcount audit. AuditTables checks each block
+  // table and recounts its references into audit_expected_; a subclass adds
+  // its own reference sources there. AuditRefcounts then checks the free
+  // list, and each block's refcount against audit_expected_ (`sources` names
+  // them in the message). Both return an error, or "" when the pool is
+  // consistent.
   std::string AuditTables() const;
   std::string AuditRefcounts(const char* sources) const;
 
   Options options_;
+  // Audit scratch, reused so that a passing audit allocates nothing.
+  mutable std::vector<int32_t> audit_expected_;
+  mutable std::vector<uint8_t> audit_marks_;
+
+ private:
+  const SequenceState& FindStateSlow(SeqId id) const;
+  SequenceState& MutableState(SeqId id) { return const_cast<SequenceState&>(FindState(id)); }
+  // MakeWritable body for a state already in hand (AppendToken has it).
+  std::optional<CowOp> MakeWritableAt(SeqId id, const SequenceState& state, int64_t pos);
+
+  // Incremental audit bookkeeping. MarkSequence and CountSlot are no-ops
+  // until tracking starts; MarkBlock is only called while tracking.
+  void MarkSequence(SeqId id) {
+    if (tracking_) dirty_seqs_.push_back(id);
+  }
+  void MarkBlock(int64_t block);
+  // A table slot started (+1) or stopped (-1) referencing `block`.
+  void CountSlot(int64_t block, int32_t delta);
+  // Starts tracking from a passing full audit's recount.
+  void StartTracking() const;
+  // The incremental audit's checks of the marked items.
+  std::string AuditMarked() const;
+
   mutable SeqId hot_id_ = 0;
   mutable SequenceState* hot_state_ = nullptr;
   int64_t last_emitted_used_ = -1;
@@ -143,9 +200,22 @@ class PagedBlockManager : public KvAllocator {
   std::vector<int32_t> refcount_;
   std::unordered_map<SeqId, SequenceState> tables_;
   std::vector<std::pair<SeqId, CowOp>> pending_cows_;
-  // Audit scratch, reused so that a passing audit allocates nothing.
-  mutable std::vector<int32_t> audit_expected_;
-  mutable std::vector<uint8_t> audit_marks_;
+
+  // ---- Incremental audit state (AuditChanges) ----
+  // Off until the first AuditChanges() call, which seeds it from a full
+  // audit; dropped again when an incremental audit fails.
+  mutable bool tracking_ = false;
+  // Per block: table slots referencing it, kept from slot changes only (never
+  // from refcount operations), and copies of it on the free list.
+  mutable std::vector<int32_t> slot_refs_;
+  mutable std::vector<int32_t> free_copies_;
+  // Table slots holding an id outside [0, num_blocks).
+  mutable int64_t bad_slots_ = 0;
+  // What changed since the last audit. A sequence may be listed more than
+  // once, or after its table is gone.
+  mutable std::vector<uint8_t> block_dirty_;
+  mutable std::vector<int64_t> dirty_blocks_;
+  mutable std::vector<SeqId> dirty_seqs_;
 };
 
 // Orca-style allocator: without paged memory, every admitted request reserves

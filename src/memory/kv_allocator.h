@@ -96,6 +96,13 @@ class KvAllocator {
   // found. O(capacity) — meant for tests and fuzzing, not the serving path.
   virtual std::string AuditInvariants() const = 0;
 
+  // The same verdict as AuditInvariants() — empty exactly when it would be —
+  // at a cost that may follow what changed since the previous call instead
+  // of the capacity. The message of a failure may differ from
+  // AuditInvariants()'s; callers that report it re-run the full audit. The
+  // invariant checker calls this after every batch.
+  virtual std::string AuditChanges() const { return AuditInvariants(); }
+
   // Prefix-cache structural self-audit: every cached block referenced exactly
   // once by the radix index (live sequences add their own references on top),
   // index chains intact, pins consistent. Empty string for cache-less

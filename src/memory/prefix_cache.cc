@@ -50,7 +50,7 @@ int64_t PrefixCachingAllocator::WatermarkBlocks() const {
 int64_t PrefixCachingAllocator::PinPrefix(
     SeqId id, std::shared_ptr<const std::vector<int32_t>> tokens, int64_t prompt_len) {
   CHECK(!pins_.contains(id)) << "sequence " << id << " already pinned";
-  CHECK(!tables_.contains(id)) << "sequence " << id << " already admitted";
+  CHECK(!HasSequence(id)) << "sequence " << id << " already admitted";
   CHECK(!seq_tokens_.contains(id)) << "sequence " << id << " already registered";
   ++stats_.lookups;
   if (tokens == nullptr || tokens->empty()) {
@@ -74,7 +74,7 @@ int64_t PrefixCachingAllocator::PinPrefix(
       break;
     }
     node = it->second.get();
-    ++refcount_[static_cast<size_t>(node->block)];  // Pin: eviction-proof.
+    AddBlockRef(node->block);  // Pin: eviction-proof.
     Touch(node);
     pin.nodes.push_back(node);
   }
@@ -109,7 +109,7 @@ bool PrefixCachingAllocator::HasEvictable(int64_t want) const {
     const Node* node = stack.back();
     stack.pop_back();
     for (const auto& [key, child] : node->children) {
-      if (refcount_[static_cast<size_t>(child->block)] == 1 && ++found >= want) {
+      if (refcount(child->block) == 1 && ++found >= want) {
         return true;
       }
       stack.push_back(child.get());
@@ -125,7 +125,7 @@ int64_t PrefixCachingAllocator::evictable_blocks() const {
     const Node* node = stack.back();
     stack.pop_back();
     for (const auto& [key, child] : node->children) {
-      if (refcount_[static_cast<size_t>(child->block)] == 1) {
+      if (refcount(child->block) == 1) {
         ++found;
       }
       stack.push_back(child.get());
@@ -145,7 +145,7 @@ bool PrefixCachingAllocator::EvictOne() {
     stack.pop_back();
     for (auto& [key, child] : node->children) {
       if (child->children.empty() &&
-          refcount_[static_cast<size_t>(child->block)] == 1 &&
+          refcount(child->block) == 1 &&
           (victim == nullptr || child->stamp < victim->stamp)) {
         victim = child.get();
       }
@@ -181,7 +181,7 @@ bool PrefixCachingAllocator::CanAdmitSeq(SeqId id, int64_t prompt_len,
 }
 
 void PrefixCachingAllocator::Admit(SeqId id, int64_t prompt_len, int64_t max_total_len) {
-  CHECK(!tables_.contains(id)) << "sequence " << id << " already admitted";
+  CHECK(!HasSequence(id)) << "sequence " << id << " already admitted";
   CHECK(CanAdmitSeq(id, prompt_len, max_total_len));
   std::vector<Node*> matched;
   auto pin_it = pins_.find(id);
@@ -195,18 +195,16 @@ void PrefixCachingAllocator::Admit(SeqId id, int64_t prompt_len, int64_t max_tot
   while (free_blocks() < fresh + WatermarkBlocks() && EvictOne()) {
   }
   CHECK_GE(free_blocks(), fresh) << "admitted past capacity";
-  SequenceState state;
-  state.blocks.reserve(
-      static_cast<size_t>(std::max(needed, BlocksForTokens(max_total_len))));
+  std::vector<int64_t> blocks;
+  blocks.reserve(static_cast<size_t>(std::max(needed, BlocksForTokens(max_total_len))));
   // The pin's extra reference becomes the table's reference: no net change.
   for (Node* node : matched) {
-    state.blocks.push_back(node->block);
+    blocks.push_back(node->block);
   }
   for (int64_t i = 0; i < fresh; ++i) {
-    state.blocks.push_back(AllocateBlock());
+    blocks.push_back(AllocateBlock());
   }
-  state.num_tokens = prompt_len;
-  tables_.emplace(id, std::move(state));
+  AdmitTable(id, std::move(blocks), prompt_len);
   NotifyKv(obs_, KvVerifyEvent::kAdmit, id);
   EmitKvObs("kv_admit", id);
 }
@@ -225,7 +223,7 @@ void PrefixCachingAllocator::AppendToken(SeqId id) {
         BlocksForTokens(state.num_tokens + 1) > static_cast<int64_t>(state.blocks.size());
     if (!needs_block) {
       int64_t block = state.blocks[static_cast<size_t>(BlockIndexFor(state.num_tokens))];
-      needs_block = refcount_[static_cast<size_t>(block)] > 1;  // Copy-on-write.
+      needs_block = refcount(block) > 1;  // Copy-on-write.
     }
     if (needs_block) {
       CHECK(EvictOne()) << "AppendToken without a free or evictable block";
@@ -275,7 +273,7 @@ void PrefixCachingAllocator::ReleaseFinished(SeqId id) {
       child->key = key;
       child->block = state.blocks[static_cast<size_t>(d)];
       child->chunk.assign(chunk, chunk + options_.block_size);
-      ++refcount_[static_cast<size_t>(child->block)];  // The index's reference.
+      AddBlockRef(child->block);  // The index's reference.
       Touch(child.get());
       ++cached_count_;
       ++stats_.retained_blocks;
@@ -325,7 +323,7 @@ std::string PrefixCachingAllocator::AuditInvariants() const {
   }
   std::vector<int32_t>& expected = audit_expected_;
   std::vector<uint8_t>& in_index = audit_marks_;
-  in_index.assign(refcount_.size(), 0);
+  in_index.assign(static_cast<size_t>(options_.num_blocks), 0);
   int64_t nodes_seen = 0;
   std::vector<const Node*>& stack = audit_stack_;
   stack.assign(1, &root_);
@@ -385,19 +383,17 @@ std::string PrefixCachingAllocator::AuditCache() const {
             << child->chunk.size() << " tokens, want " << options_.block_size;
         return out.str();
       }
-      if (refcount_[static_cast<size_t>(child->block)] < 1) {
+      if (refcount(child->block) < 1) {
         std::ostringstream out;
         out << "cached block " << child->block << " has refcount "
-            << refcount_[static_cast<size_t>(child->block)] << " (evicted while mapped)";
+            << refcount(child->block) << " (evicted while mapped)";
         return out.str();
       }
-      if (node != &root_ &&
-          refcount_[static_cast<size_t>(node->block)] <
-              refcount_[static_cast<size_t>(child->block)]) {
+      if (node != &root_ && refcount(node->block) < refcount(child->block)) {
         std::ostringstream out;
         out << "cached block " << child->block << " (refcount "
-            << refcount_[static_cast<size_t>(child->block)] << ") outranks its parent "
-            << node->block << " (refcount " << refcount_[static_cast<size_t>(node->block)]
+            << refcount(child->block) << ") outranks its parent " << node->block
+            << " (refcount " << refcount(node->block)
             << "): a chain reference is missing its ancestors";
         return out.str();
       }
@@ -411,7 +407,7 @@ std::string PrefixCachingAllocator::AuditCache() const {
       return out.str();
     }
     for (const Node* node : pin.nodes) {
-      if (refcount_[static_cast<size_t>(node->block)] < 2) {
+      if (refcount(node->block) < 2) {
         std::ostringstream out;
         out << "seq " << id << ": pinned block " << node->block
             << " has refcount < 2 (pin reference lost)";

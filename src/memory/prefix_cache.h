@@ -85,6 +85,9 @@ class PrefixCachingAllocator final : public PagedBlockManager {
   void OnRequestDropped(SeqId id) override;
   int64_t cached_units() const override { return cached_count_; }
   std::string AuditInvariants() const override;
+  // Stays the full audit: the index and pin references would need ledgers of
+  // their own, and AuditCache walks the whole index after every batch anyway.
+  std::string AuditChanges() const override { return AuditInvariants(); }
   std::string AuditCache() const override;
 
   // Evicts every reclaimable node until the index only holds blocks live

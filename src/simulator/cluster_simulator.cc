@@ -342,7 +342,10 @@ int ClusterSimulator::Route(int64_t tokens, double now, int exclude,
   // of the queue bound. While any eligible replica is not ramp-limited,
   // restrict the choice to those; when every choice is ramping, the
   // least-loaded fallback still routes (the breaker, not the router, decides
-  // what to refuse outright).
+  // what to refuse outright). The choices are those backpressure left: were
+  // the two filters counted independently, an unpressured replica that is
+  // ramping and an open one that is pressured would shun each other and
+  // leave no pick while replicas are live.
   bool shun_ramping = false;
   auto ramp_limited = [&](int r) {
     double fraction = SlowStartFractionAt(r, now);
@@ -363,7 +366,7 @@ int ClusterSimulator::Route(int64_t tokens, double now, int exclude,
     int num_open = 0;
     int num_allowed = 0;
     for (int r = 0; r < n; ++r) {
-      if (!eligible(r)) {
+      if (!eligible(r) || (shun_pressured && pressured(r))) {
         continue;
       }
       ++num_allowed;
@@ -868,7 +871,13 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
       continue;
     }
     int pick = Route(request.total_tokens(), t, /*exclude=*/-1, &router);
-    CHECK_GE(pick, 0);  // Quarantine is empty during initial routing.
+    if (pick < 0) {
+      // Nothing the router may dispatch to although a replica is up: a typed
+      // outcome, not an abort, should a routing filter ever exclude them all.
+      shed[i] = true;
+      record_shed("no_live_target");
+      continue;
+    }
     if (autoscale_active_ && options_.autoscale.tbt_slo_s > 0.0) {
       // Latency signal sample: the cost model's decode-iteration time at the
       // destination's estimated concurrency — its outstanding work divided
@@ -939,6 +948,9 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     replica_options.jitter_max_extra = injector.options().jitter_max_extra;
     replica_options.jitter_seed = injector.options().seed;
     replica_options.trace_pid = r;
+    // The merge keeps only num_iterations, never the per-replica iteration
+    // records, so recording them would be work thrown away.
+    replica_options.record_iterations = false;
     replica_options.tracer = nullptr;
     replica_options.metrics = nullptr;
     // Shared PR-level sinks never see discarded retry rounds; the merged

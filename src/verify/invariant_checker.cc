@@ -176,11 +176,23 @@ void InvariantChecker::BeginRun(const Scheduler* scheduler, const KvAllocator* a
   shadows_.clear();
   live_kv_.clear();
   enqueue_counter_ = 0;
+  full_kv_audits_ = false;
   ++runs_;
 }
 
-void InvariantChecker::AuditKv(const char* where) {
-  std::string audit = allocator_->AuditInvariants();
+void InvariantChecker::AuditKv(const char* where, bool full) {
+  // The incremental audit gives the full audit's verdict at every call (see
+  // KvAllocator::AuditChanges); its first failure is re-run in full for the
+  // message, and the rest of the run audits in full, so violation counts and
+  // messages are those of full audits throughout.
+  std::string audit;
+  if (!full && !full_kv_audits_) {
+    audit = allocator_->AuditChanges();
+    full_kv_audits_ = !audit.empty();
+  }
+  if (full || full_kv_audits_) {
+    audit = allocator_->AuditInvariants();
+  }
   if (!audit.empty()) {
     AddViolation(Invariant::kKvConservation, -1,
                  std::string("allocator audit failed after ") + where + ": " + audit);
@@ -330,7 +342,7 @@ void InvariantChecker::OnBatchScheduled(const ScheduledBatch& batch, double now_
   CheckBatchSanity(batch);
   CheckTokenBudget(batch);
   CheckStallFree(batch);
-  AuditKv("schedule");
+  AuditKv("schedule", /*full=*/false);
 }
 
 void InvariantChecker::OnBatchApplied(const ScheduledBatch& batch, double exit_s) {
@@ -386,7 +398,7 @@ void InvariantChecker::OnBatchApplied(const ScheduledBatch& batch, double exit_s
       shadow.generated = request->generated();
     }
   }
-  AuditKv("apply");
+  AuditKv("apply", /*full=*/false);
 }
 
 void InvariantChecker::OnBatchDiscarded(const ScheduledBatch& batch) {
@@ -648,7 +660,7 @@ void InvariantChecker::OnKvEvent(KvVerifyEvent event, int64_t seq_id) {
 
 void InvariantChecker::EndRun() {
   CHECK(scheduler_ != nullptr) << "EndRun before BeginRun";
-  AuditKv("end of run");
+  AuditKv("end of run", /*full=*/true);
   if (allocator_->num_sequences() != 0 || allocator_->used_units() != 0) {
     std::ostringstream out;
     out << "end of run with " << allocator_->num_sequences() << " sequences and "

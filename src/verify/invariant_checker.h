@@ -23,7 +23,10 @@
 //  - KV conservation:          allocator self-audit (refcounts, free list,
 //                              used + free == total) plus a live-sequence
 //                              cross-check; zero sequences and zero used
-//                              units at end of run.
+//                              units at end of run. Per batch the audit is
+//                              KvAllocator::AuditChanges, which costs what
+//                              the batch changed and gives the full audit's
+//                              verdict.
 //  - clock monotonicity:       schedule times and batch exits never move
 //                              backwards within a run.
 //  - batch sanity:             no duplicate or locked-in-flight requests in
@@ -231,8 +234,10 @@ class InvariantChecker final : public VerifyHook {
   };
 
   void AddViolation(Invariant invariant, int64_t request_id, std::string message);
-  // Runs the allocator self-audit and the live-sequence cross-check.
-  void AuditKv(const char* where);
+  // Runs the allocator self-audit and the live-sequence cross-check. The
+  // self-audit is the allocator's incremental one unless `full` is set or an
+  // earlier audit of this run failed.
+  void AuditKv(const char* where, bool full);
   // QoS-lane admission-order check (see the no-starvation invariant above);
   // called on every kAdmit with the admitted request's shadow.
   void CheckNoStarvation(const RequestState* request, const Shadow& shadow);
@@ -259,6 +264,8 @@ class InvariantChecker final : public VerifyHook {
   std::unordered_map<const RequestState*, Shadow> shadows_;
   std::unordered_set<int64_t> live_kv_;
   int64_t enqueue_counter_ = 0;
+  // Set by the run's first failed KV self-audit: later ones run in full.
+  bool full_kv_audits_ = false;
 
   // Per-batch scratch of CheckBatchSanity and CheckStallFree, reused so that
   // the checks allocate nothing in steady state.

@@ -652,5 +652,39 @@ TEST(CascadeClusterTest, KnobsOffMatchesPlainClusterExactly) {
   }
 }
 
+
+// Regression for the router abort of fuzzer seeds 646, 6256 and 7846 (and 901
+// and 1036 with --force-cascade). With backpressure and slow-start both on,
+// an unpressured replica still inside its rejoin gate and an open replica
+// over the queue bound shunned each other, so Route found no target while
+// replicas were up and the initial routing pass failed CHECK_GE(pick, 0).
+// Modeled on seed 646's determinism run (least-work routing over four
+// replicas, a 1 s queue bound, a 3 s ramp staggered 0.5 s, three failure
+// domains); fault seed 5 is the first that aborted before the fix.
+TEST(CascadeClusterTest, RampingAndPressuredReplicasStillRoute) {
+  ClusterOptions options = SmallCluster(4, SarathiConfig(192, 12));
+  options.backpressure_queue_s = 1.0;
+  options.slow_start.enabled = true;
+  options.slow_start.ramp_s = 3.0;
+  options.slow_start.stagger_s = 0.5;
+  options.faults.seed = 5;
+  options.faults.num_domains = 3;
+  options.faults.domain_mtbf_s = 2.0;
+  options.faults.domain_mttr_s = 1.0;
+  options.faults.min_domain_outage_s = 0.5;
+  options.faults.domain_partition_fraction = 0.2;
+  InvariantChecker checker;
+  options.replica.checker = &checker;
+  Trace trace = UniformTrace(64, 1024, 16, 0.02);
+  SimResult result = ClusterSimulator(options).Run(trace);
+  EXPECT_TRUE(checker.ok()) << checker.Report();
+  EXPECT_GT(result.slow_start_admits, 0);
+  EXPECT_GT(result.num_backpressure_skips, 0);
+  // No arrival found the whole cluster down, and none may be refused while
+  // a replica is up.
+  EXPECT_EQ(result.num_shed, 0);
+  EXPECT_EQ(result.requests.size(), trace.requests.size());
+}
+
 }  // namespace
 }  // namespace sarathi

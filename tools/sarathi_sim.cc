@@ -590,7 +590,6 @@ int RunMain(int argc, char** argv) {
     cluster.replica.cluster = deployment->cluster;
     cluster.replica.parallel = deployment->parallel;
     cluster.replica.scheduler = *scheduler;
-    cluster.replica.record_iterations = record;
     cluster.replica.tracer = tracer_ptr;
     cluster.replica.metrics = metrics_ptr;
     cluster.replica.flight = flight.get();
