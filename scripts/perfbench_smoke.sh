@@ -1,14 +1,17 @@
 #!/usr/bin/env bash
 # Benchmark smoke: builds perfbench/ against src/ in Release (perfbench/run.py
-# does the build) and runs its replica, cluster and checked workloads for one
-# second each. Fails unless each builds, runs and reports "correct": true on
-# its last output line, so a src/ change that breaks the benchmark's build or
-# its result checks is caught before the benchmark is next run. The checked
-# workload covers the invariant checker and the allocator under KV pressure.
+# does the build) and runs its replica, cluster, fleet and checked workloads
+# for one second each. Fails unless each builds, runs and reports
+# "correct": true on its last output line, so a src/ change that breaks the
+# benchmark's build or its result checks is caught before the benchmark is
+# next run. The checked workload covers the invariant checker and the
+# allocator under KV pressure; fleet's reference check compares the
+# steady-decode run-ahead against the stepwise reference path on an
+# autoscaled fleet-day.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-for workload in replica cluster checked; do
+for workload in replica cluster fleet checked; do
   echo "== perfbench $workload =="
   result=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 0 |
     tail -n 1)

@@ -54,6 +54,13 @@ PagedBlockManager::PagedBlockManager(const Options& options) : options_(options)
     free_list_.push_back(b);
   }
   refcount_.assign(static_cast<size_t>(options_.num_blocks), 0);
+  if (options_.sliding_window > 0) {
+    // A windowed sequence's positions cycle through the slots of the blocks
+    // BlocksForTokens grants it.
+    int64_t cap_tokens = options_.sliding_window + options_.block_size;
+    int64_t cap_blocks = (cap_tokens + options_.block_size - 1) / options_.block_size;
+    window_slots_ = cap_blocks * options_.block_size;
+  }
 }
 
 int64_t PagedBlockManager::BlocksForTokens(int64_t tokens) const {
@@ -68,11 +75,8 @@ int64_t PagedBlockManager::BlocksForTokens(int64_t tokens) const {
 
 int64_t PagedBlockManager::BlockIndexFor(int64_t pos) const {
   CHECK_GE(pos, 0);
-  if (options_.sliding_window > 0) {
-    int64_t cap_tokens = options_.sliding_window + options_.block_size;
-    int64_t cap_blocks = (cap_tokens + options_.block_size - 1) / options_.block_size;
-    int64_t window_slots = cap_blocks * options_.block_size;
-    pos %= window_slots;
+  if (window_slots_ > 0) {
+    pos %= window_slots_;
   }
   return pos / options_.block_size;
 }

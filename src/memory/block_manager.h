@@ -56,6 +56,9 @@ class PagedBlockManager : public KvAllocator {
   void Admit(SeqId id, int64_t prompt_len, int64_t max_total_len) override;
   bool CanAppendToken(SeqId id) const override;
   void AppendToken(SeqId id) override;
+  // An append takes at most one free block: a new tail block, or the copy
+  // of a shared one.
+  bool CanAppendToEach(int64_t num_seqs) const override { return free_blocks() >= num_seqs; }
   void Release(SeqId id) override;
   double Utilization() const override;
   int64_t used_units() const override { return used_blocks(); }
@@ -193,6 +196,9 @@ class PagedBlockManager : public KvAllocator {
   // The incremental audit's checks of the marked items.
   std::string AuditMarked() const;
 
+  // Slots a windowed sequence's positions cycle through (whole blocks
+  // covering sliding_window + block_size tokens); 0 without a window.
+  int64_t window_slots_ = 0;
   mutable SeqId hot_id_ = 0;
   mutable SequenceState* hot_state_ = nullptr;
   int64_t last_emitted_used_ = -1;
@@ -229,6 +235,10 @@ class ReservationAllocator : public KvAllocator {
   void Admit(SeqId id, int64_t prompt_len, int64_t max_total_len) override;
   bool CanAppendToken(SeqId id) const override;
   void AppendToken(SeqId id) override;
+  // Appends never share capacity here, and none can fail: CanAdmit requires
+  // max_total_len <= max_seq_len, and a sequence never holds more tokens
+  // than its prompt plus the outputs admission counted.
+  bool CanAppendToEach(int64_t /*num_seqs*/) const override { return true; }
   void Release(SeqId id) override;
   double Utilization() const override;
   // Units are reserved token slots: every admission pins max_seq_len worth.

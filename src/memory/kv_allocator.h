@@ -53,6 +53,15 @@ class KvAllocator {
   // Appends one generated token's KV entry.
   virtual void AppendToken(SeqId id) = 0;
 
+  // Whether one AppendToken to each of any `num_seqs` distinct admitted
+  // sequences, in any order, is sure to find CanAppendToken true at its
+  // turn. A sufficient condition, cheap enough to ask once per iteration;
+  // false (the default) promises nothing.
+  virtual bool CanAppendToEach(int64_t num_seqs) const {
+    (void)num_seqs;
+    return false;
+  }
+
   // Releases everything held by the sequence (finish or preemption).
   virtual void Release(SeqId id) = 0;
 

@@ -211,4 +211,17 @@ ScheduledBatch SarathiScheduler::Schedule() {
   return batch;
 }
 
+bool SarathiScheduler::IsSteadyDecodeBatch(const ScheduledBatch& batch) const {
+  if (!config_.enable_hybrid || config_.dynamic_budget_tbt_slo_s > 0.0 || !queue_.empty() ||
+      batch.items.size() != running_.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < running_.size(); ++i) {
+    if (batch.items[i].request != running_[i] || !batch.items[i].is_decode) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace sarathi

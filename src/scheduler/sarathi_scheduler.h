@@ -47,6 +47,14 @@ class SarathiScheduler : public Scheduler {
 
   ScheduledBatch Schedule() override;
 
+  // Hybrid batching packs every running decode first, so with an empty queue
+  // an all-decode batch of the whole running set, in running_ order,
+  // repeats. A static budget is required: the dynamic controller moves the
+  // budget after every iteration. (VTC inherits this: its queue reordering
+  // is a no-op on an empty queue, and its counters advance in
+  // OnBatchComplete, which the driver still calls per step.)
+  bool IsSteadyDecodeBatch(const ScheduledBatch& batch) const override;
+
   // Dynamic-budget controller (active when
   // config.dynamic_budget_tbt_slo_s > 0): AIMD adjustment of the working
   // budget from observed iteration latency.

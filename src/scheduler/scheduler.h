@@ -223,6 +223,18 @@ class Scheduler {
   // drivers that skip it only lose the allocation-free hot loop.
   void RecycleBatch(ScheduledBatch&& batch);
 
+  // Steady-decode run-ahead hook. True when `batch`, just scheduled, is
+  // steady: if it completes with no request finishing, no request arriving,
+  // aborting or changing level, and every item able to append its next KV
+  // token without preemption, the next Schedule() forms the same batch again
+  // and changes nothing but those appends. A driver may then complete and
+  // relaunch `batch` itself, making each item's AppendToken in item order,
+  // instead of calling Schedule(). Off by default.
+  virtual bool IsSteadyDecodeBatch(const ScheduledBatch& batch) const {
+    (void)batch;
+    return false;
+  }
+
   // True if any request is waiting or running.
   bool HasWork() const { return !queue_.empty() || !running_.empty(); }
 

@@ -116,6 +116,11 @@ struct SimResult {
   std::vector<IterationRecord> iterations;
 
   int64_t num_iterations = 0;
+  // Of num_iterations, those the replica loop ran ahead as steady decode
+  // steps without re-scheduling (ReplicaSimulator). A cost counter, not a
+  // result: it differs between the fast and the reference paths, and no
+  // telemetry file writes it.
+  int64_t steady_decode_iterations = 0;
   int64_t num_preemptions = 0;
   double makespan_s = 0.0;  // Last completion time.
 

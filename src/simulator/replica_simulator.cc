@@ -465,6 +465,253 @@ SimResult ReplicaSimulator::Run(const Trace& trace) {
     }
   };
 
+  // ---- One iteration, in two halves ----
+  // The stepwise loop and the steady-decode run-ahead below both book an
+  // iteration through these two, so both make the same operations in the
+  // same order.
+
+  // Launch half: times `batch` from `start` through every pipeline stage,
+  // books its work and locks its requests. Returns its exit time.
+  // `prefill_tokens` is batch.NumPrefillTokens(), which a run-ahead span
+  // knows to be 0 without a pass over the items.
+  auto launch_batch = [&](const ScheduledBatch& batch, int64_t prefill_tokens,
+                          double start) -> double {
+    ++result.num_iterations;
+    CHECK_LE(result.num_iterations, options_.max_iterations) << "runaway scheduling loop";
+    if (checker != nullptr) {
+      checker->OnBatchScheduled(batch, start);
+    }
+
+    double iter_flops = 0.0;
+    double iter_bytes = 0.0;
+    double stage_time;
+    if (options_.reuse_buffers) {
+      // Fast path: one pass over the batch shape yields the stage time and
+      // the MFU/MBU accounting totals together (one KvSpan per sequence).
+      stage_time = engine_->StageTimeAndTotals(batch, &iter_flops, &iter_bytes);
+    } else {
+      stage_time = engine_->StageTime(batch);
+    }
+    // Gray-failure degradation: an iteration whose batch starts inside a
+    // slowdown episode runs slower on every pipeline stage; transient jitter
+    // stretches isolated iterations on top. (Monotonic cursor — batch starts
+    // never move backwards within a run.)
+    while (slowdown_cursor < options_.slowdowns.size() &&
+           options_.slowdowns[slowdown_cursor].end_s <= start) {
+      ++slowdown_cursor;
+    }
+    double stretch = 1.0;
+    if (slowdown_cursor < options_.slowdowns.size() &&
+        start >= options_.slowdowns[slowdown_cursor].start_s) {
+      stretch = options_.slowdowns[slowdown_cursor].factor;
+    }
+    stretch *= IterationJitterFactor(options_.jitter_seed, options_.trace_pid,
+                                     result.num_iterations, options_.jitter_probability,
+                                     options_.jitter_max_extra);
+    if (stretch > 1.0) {
+      stage_time *= stretch;
+      ++result.degraded_iterations;
+      if (metrics != nullptr) {
+        metrics->AddCount("degraded_iterations", start);
+      }
+    }
+    double enter = start;
+    std::string slice_name;
+    if (tracer != nullptr) {
+      slice_name = batch.Describe();
+    }
+    for (int s = 0; s < num_stages; ++s) {
+      double stage_start = std::max(stage_free[static_cast<size_t>(s)], enter);
+      result.stage_busy_s[static_cast<size_t>(s)] += stage_time;
+      if (tracer != nullptr) {
+        tracer->Complete("iteration", slice_name, stage_start, stage_time, s,
+                         {Arg("tokens", batch.TotalTokens()), Arg("decodes", batch.NumDecodes()),
+                          Arg("prefill_tokens", prefill_tokens)});
+      }
+      if (flight != nullptr) {
+        // Literal name (not batch.Describe()): the flight path must not
+        // allocate in steady state; the shape args carry the batch identity.
+        flight->RecordComplete("iteration", "iteration", stage_start, stage_time, fpid, s,
+                               {{"tokens", static_cast<double>(batch.TotalTokens())},
+                                {"decodes", static_cast<double>(batch.NumDecodes())},
+                                {"prefill_tokens", static_cast<double>(prefill_tokens)}});
+      }
+      enter = stage_start + stage_time;
+      stage_free[static_cast<size_t>(s)] = enter;
+    }
+    double exit = enter;
+    if (first_start < 0.0) {
+      first_start = start;
+    }
+    last_exit = std::max(last_exit, exit);
+
+    result.total_prefill_tokens += prefill_tokens;
+    if (options_.reuse_buffers) {
+      // Totals were computed alongside the stage time above.
+      result.total_flops += iter_flops;
+      result.total_bytes += iter_bytes;
+    } else {
+      work_scratch = batch.ToBatchWork();
+      result.total_flops += engine_->cost_model().BatchFlops(work_scratch);
+      result.total_bytes += engine_->cost_model().BatchMemoryBytes(work_scratch);
+    }
+    if (options_.record_iterations) {
+      IterationRecord record;
+      record.start_s = start;
+      record.stage_time_s = stage_time;
+      record.exit_s = exit;
+      record.description = batch.Describe();
+      record.total_tokens = batch.TotalTokens();
+      record.num_decodes = batch.NumDecodes();
+      record.prefill_tokens = prefill_tokens;
+      result.iterations.push_back(std::move(record));
+    }
+
+    if (metrics != nullptr) {
+      metrics->AddCount("iterations", start);
+      if (prefill_tokens > 0) {
+        metrics->AddCount("prefill_tokens", start, static_cast<double>(prefill_tokens));
+      }
+    }
+    for (const auto& item : batch.items) {
+      item.request->set_locked(true);
+      size_t idx = static_cast<size_t>(item.request->slot());
+      RequestMetrics& request_metrics = result.requests[idx];
+      if (request_metrics.first_scheduled_s < 0.0) {
+        request_metrics.first_scheduled_s = start;
+      }
+      span_transition(idx, item.is_decode ? kSpanDecode : kSpanPrefill, start);
+    }
+    return exit;
+  };
+
+  // Completion half: emits the tokens of a batch that exited, forks
+  // parallel-sampling siblings and applies the batch to the scheduler.
+  auto complete_batch = [&](const InFlightBatch& done) {
+    obs.SetNow(done.exit_s);
+
+    // Token emissions happen at pipeline exit, before state advances.
+    for (const auto& item : done.batch.items) {
+      RequestMetrics& request_metrics = result.requests[static_cast<size_t>(item.request->slot())];
+      bool emits = item.is_decode ||
+                   item.request->prefill_done() + item.num_tokens ==
+                       item.request->prefill_target();
+      if (emits) {
+        if (metrics != nullptr) {
+          metrics->AddCount("output_tokens", done.exit_s);
+          if (request_metrics.token_times_s.empty()) {
+            metrics->Observe("ttft_s", done.exit_s, done.exit_s - request_metrics.arrival_s);
+          } else {
+            metrics->Observe("tbt_s", done.exit_s,
+                             done.exit_s - request_metrics.token_times_s.back());
+          }
+        }
+        if (slo_monitor != nullptr) {
+          if (request_metrics.token_times_s.empty()) {
+            slo_monitor->RecordLatency(SloSignal::kTtft, request_metrics.qos,
+                                       done.exit_s - request_metrics.arrival_s, done.exit_s);
+          } else {
+            slo_monitor->RecordLatency(SloSignal::kTbt, request_metrics.qos,
+                                       done.exit_s - request_metrics.token_times_s.back(),
+                                       done.exit_s);
+          }
+        }
+        if (controller != nullptr && !request_metrics.token_times_s.empty()) {
+          // Feed the controller's windowed P99 TBT signal.
+          tbt_window.Record(done.exit_s - request_metrics.token_times_s.back());
+        }
+        request_metrics.token_times_s.push_back(done.exit_s);
+        ++result.total_output_tokens;
+      }
+      item.request->set_locked(false);
+    }
+    // Materialize parallel-sampling siblings for parents whose prefill just
+    // completed — before OnBatchComplete, while the parent's block table is
+    // guaranteed alive. Each sibling's first token is its fork-point draw,
+    // emitted at this batch's exit.
+    for (const auto& item : done.batch.items) {
+      if (item.is_decode || item.request->prefill_done() + item.num_tokens !=
+                                item.request->prefill_target()) {
+        continue;
+      }
+      auto plan = pending_forks.find(item.request);
+      if (plan == pending_forks.end()) {
+        continue;
+      }
+      double parent_first_scheduled = result.requests[static_cast<size_t>(item.request->slot())].first_scheduled_s;
+      for (int64_t s = 0; s < plan->second; ++s) {
+        int64_t child_id = next_fork_id++;
+        RequestState child_state = RequestState::ForkedFrom(*item.request, child_id);
+        child_state.AdvancePrefill(child_state.remaining_prefill());
+        states.push_back(std::make_unique<RequestState>(child_state));
+        RequestState* child = states.back().get();
+        paged->Fork(item.request->id(), child_id);
+
+        RequestMetrics child_metrics;
+        child_metrics.id = child_id;
+        child_metrics.qos = item.request->qos();
+        child_metrics.arrival_s = item.request->arrival_time_s();
+        child_metrics.first_scheduled_s = parent_first_scheduled;
+        child_metrics.token_times_s.push_back(done.exit_s);
+        ++result.total_output_tokens;
+        if (metrics != nullptr) {
+          metrics->AddCount("output_tokens", done.exit_s);
+        }
+        bool child_done = child->finished();
+        if (child_done) {
+          paged->Release(child_id);
+          child->set_phase(RequestPhase::kFinished);
+          child_metrics.completion_s = done.exit_s;
+        } else {
+          scheduler->AdoptRunning(child);
+        }
+        result.requests.push_back(std::move(child_metrics));
+        child->set_slot(static_cast<int64_t>(result.requests.size() - 1));
+        // Sibling spans begin at the fork point, already decoding (or
+        // instantly closed for single-token samples).
+        span_phase.push_back(kSpanNone);
+        span_round.push_back(0);
+        span_transition(result.requests.size() - 1, kSpanDecode, done.exit_s);
+        if (child_done) {
+          span_transition(result.requests.size() - 1, kSpanClosed, done.exit_s);
+        }
+      }
+      pending_forks.erase(plan);
+    }
+    scheduler->ObserveIterationTime(done.batch, done.exit_s - done.start_s);
+    scheduler->OnBatchComplete(done.batch);
+    if (checker != nullptr) {
+      checker->OnBatchApplied(done.batch, done.exit_s);
+    }
+    if (paged != nullptr) {
+      // Time domain carries no KV values; discard CoW data-copy records.
+      (void)paged->TakePendingCows();
+    }
+    // Forked siblings may have just taken block references.
+    result.peak_kv_blocks = std::max(result.peak_kv_blocks, allocator->used_units());
+    for (const auto& item : done.batch.items) {
+      if (item.request->finished()) {
+        size_t idx = static_cast<size_t>(item.request->slot());
+        RequestMetrics& request_metrics = result.requests[idx];
+        request_metrics.completion_s = done.exit_s;
+        request_metrics.preemptions = item.request->preemptions();
+        request_metrics.wasted_tokens = item.request->wasted_tokens();
+        span_transition(idx, kSpanClosed, done.exit_s);
+        if (metrics != nullptr) {
+          metrics->AddCount("completions", done.exit_s);
+        }
+        if (flight != nullptr) {
+          flight->RecordInstant("request", "completion", done.exit_s, fpid,
+                                {{"request", static_cast<double>(request_metrics.id)}});
+        }
+        if (slo_monitor != nullptr) {
+          slo_monitor->RecordOutcome(request_metrics.qos, request_metrics.good(),
+                                     done.exit_s);
+        }
+      }
+    }
+  };
+
   auto deliver_completions = [&](double upto) {
     while (true) {
       // Earliest in-flight exit not after `upto`.
@@ -480,128 +727,7 @@ SimResult ReplicaSimulator::Run(const Trace& trace) {
       }
       InFlightBatch done = std::move(in_flight[best]);
       in_flight.erase(in_flight.begin() + static_cast<long>(best));
-      obs.SetNow(done.exit_s);
-
-      // Token emissions happen at pipeline exit, before state advances.
-      for (const auto& item : done.batch.items) {
-        RequestMetrics& request_metrics = result.requests[static_cast<size_t>(item.request->slot())];
-        bool emits = item.is_decode ||
-                     item.request->prefill_done() + item.num_tokens ==
-                         item.request->prefill_target();
-        if (emits) {
-          if (metrics != nullptr) {
-            metrics->AddCount("output_tokens", done.exit_s);
-            if (request_metrics.token_times_s.empty()) {
-              metrics->Observe("ttft_s", done.exit_s, done.exit_s - request_metrics.arrival_s);
-            } else {
-              metrics->Observe("tbt_s", done.exit_s,
-                               done.exit_s - request_metrics.token_times_s.back());
-            }
-          }
-          if (slo_monitor != nullptr) {
-            if (request_metrics.token_times_s.empty()) {
-              slo_monitor->RecordLatency(SloSignal::kTtft, request_metrics.qos,
-                                         done.exit_s - request_metrics.arrival_s, done.exit_s);
-            } else {
-              slo_monitor->RecordLatency(SloSignal::kTbt, request_metrics.qos,
-                                         done.exit_s - request_metrics.token_times_s.back(),
-                                         done.exit_s);
-            }
-          }
-          if (controller != nullptr && !request_metrics.token_times_s.empty()) {
-            // Feed the controller's windowed P99 TBT signal.
-            tbt_window.Record(done.exit_s - request_metrics.token_times_s.back());
-          }
-          request_metrics.token_times_s.push_back(done.exit_s);
-          ++result.total_output_tokens;
-        }
-        item.request->set_locked(false);
-      }
-      // Materialize parallel-sampling siblings for parents whose prefill just
-      // completed — before OnBatchComplete, while the parent's block table is
-      // guaranteed alive. Each sibling's first token is its fork-point draw,
-      // emitted at this batch's exit.
-      for (const auto& item : done.batch.items) {
-        if (item.is_decode || item.request->prefill_done() + item.num_tokens !=
-                                  item.request->prefill_target()) {
-          continue;
-        }
-        auto plan = pending_forks.find(item.request);
-        if (plan == pending_forks.end()) {
-          continue;
-        }
-        double parent_first_scheduled = result.requests[static_cast<size_t>(item.request->slot())].first_scheduled_s;
-        for (int64_t s = 0; s < plan->second; ++s) {
-          int64_t child_id = next_fork_id++;
-          RequestState child_state = RequestState::ForkedFrom(*item.request, child_id);
-          child_state.AdvancePrefill(child_state.remaining_prefill());
-          states.push_back(std::make_unique<RequestState>(child_state));
-          RequestState* child = states.back().get();
-          paged->Fork(item.request->id(), child_id);
-
-          RequestMetrics child_metrics;
-          child_metrics.id = child_id;
-          child_metrics.qos = item.request->qos();
-          child_metrics.arrival_s = item.request->arrival_time_s();
-          child_metrics.first_scheduled_s = parent_first_scheduled;
-          child_metrics.token_times_s.push_back(done.exit_s);
-          ++result.total_output_tokens;
-          if (metrics != nullptr) {
-            metrics->AddCount("output_tokens", done.exit_s);
-          }
-          bool child_done = child->finished();
-          if (child_done) {
-            paged->Release(child_id);
-            child->set_phase(RequestPhase::kFinished);
-            child_metrics.completion_s = done.exit_s;
-          } else {
-            scheduler->AdoptRunning(child);
-          }
-          result.requests.push_back(std::move(child_metrics));
-          child->set_slot(static_cast<int64_t>(result.requests.size() - 1));
-          // Sibling spans begin at the fork point, already decoding (or
-          // instantly closed for single-token samples).
-          span_phase.push_back(kSpanNone);
-          span_round.push_back(0);
-          span_transition(result.requests.size() - 1, kSpanDecode, done.exit_s);
-          if (child_done) {
-            span_transition(result.requests.size() - 1, kSpanClosed, done.exit_s);
-          }
-        }
-        pending_forks.erase(plan);
-      }
-      scheduler->ObserveIterationTime(done.batch, done.exit_s - done.start_s);
-      scheduler->OnBatchComplete(done.batch);
-      if (checker != nullptr) {
-        checker->OnBatchApplied(done.batch, done.exit_s);
-      }
-      if (paged != nullptr) {
-        // Time domain carries no KV values; discard CoW data-copy records.
-        (void)paged->TakePendingCows();
-      }
-      // Forked siblings may have just taken block references.
-      result.peak_kv_blocks = std::max(result.peak_kv_blocks, allocator->used_units());
-      for (const auto& item : done.batch.items) {
-        if (item.request->finished()) {
-          size_t idx = static_cast<size_t>(item.request->slot());
-          RequestMetrics& request_metrics = result.requests[idx];
-          request_metrics.completion_s = done.exit_s;
-          request_metrics.preemptions = item.request->preemptions();
-          request_metrics.wasted_tokens = item.request->wasted_tokens();
-          span_transition(idx, kSpanClosed, done.exit_s);
-          if (metrics != nullptr) {
-            metrics->AddCount("completions", done.exit_s);
-          }
-          if (flight != nullptr) {
-            flight->RecordInstant("request", "completion", done.exit_s, fpid,
-                                  {{"request", static_cast<double>(request_metrics.id)}});
-          }
-          if (slo_monitor != nullptr) {
-            slo_monitor->RecordOutcome(request_metrics.qos, request_metrics.good(),
-                                       done.exit_s);
-          }
-        }
-      }
+      complete_batch(done);
       if (options_.reuse_buffers) {
         scheduler->RecycleBatch(std::move(done.batch));
       }
@@ -802,6 +928,67 @@ SimResult ReplicaSimulator::Run(const Trace& trace) {
     result.downtime_s += outage.duration();
   };
 
+  // ---- Steady-decode run-ahead ----
+  // Most iterations decode one token for every running request while nothing
+  // else happens. Once the scheduler calls a launched batch steady
+  // (Scheduler::IsSteadyDecodeBatch), the stepwise loop would poll, find no
+  // event, and schedule the same batch again. The span below skips that:
+  // it completes the batch and relaunches the same items, making the KV
+  // appends Schedule() would, for as long as the stepwise loop provably
+  // forms the same batch. It stops before a step whose start reaches an
+  // arrival, deadline, planned extraction or outage, before a step that
+  // would follow some item's last token, and before a step whose appends
+  // could run out of KV (Schedule() would then preempt). It needs a single
+  // pipeline stage (a deeper pipeline keeps disjoint micro-batches in
+  // flight) and no overload control (whose controller samples every poll).
+  // The fast-path switch gates it, so reuse_buffers=false stays the
+  // stepwise reference. docs/performance.md has the exactness argument.
+  const bool run_ahead = options_.reuse_buffers && num_stages == 1 && !overload_active;
+  auto run_steady_span = [&](InFlightBatch& span) {
+    ScheduledBatch& batch = span.batch;
+    const int64_t size = static_cast<int64_t>(batch.size());
+    // Step k completes the batch for the k-th time since its launch; the
+    // completion that emits an item's last token finishes it.
+    int64_t steps = std::numeric_limits<int64_t>::max();
+    for (const BatchItem& item : batch.items) {
+      steps = std::min(steps, item.request->output_tokens() - item.request->generated() - 1);
+    }
+    // The earliest time a poll would act on. No cursor moves within the
+    // span, so it holds for the whole span. Nothing is parked in
+    // expired_locked or planned_locked: with one stage, the poll before a
+    // launch completes the only in-flight batch before it fires aborts and
+    // extractions.
+    double horizon = kInfinity;
+    if (next_arrival < trace.size()) {
+      horizon = std::min(horizon, trace.requests[next_arrival].arrival_time_s);
+    }
+    if (deadline_cursor < deadline_queue.size()) {
+      horizon = std::min(horizon, deadline_queue[deadline_cursor].first);
+    }
+    if (planned_cursor < planned_queue.size()) {
+      horizon = std::min(horizon, planned_queue[planned_cursor].first);
+    }
+    if (next_outage < options_.outages.size()) {
+      horizon = std::min(horizon, options_.outages[next_outage].down_s);
+    }
+    // With one stage the next step starts when this one exits. Completing a
+    // batch that finishes nothing changes no KV, so the append check can
+    // come before it.
+    for (; steps > 0 && span.exit_s < horizon && allocator->CanAppendToEach(size); --steps) {
+      // The completion half leaves the shared clock at the exit, which is
+      // the next step's start.
+      complete_batch(span);
+      double start = span.exit_s;
+      for (const BatchItem& item : batch.items) {
+        allocator->AppendToken(item.request->id());
+      }
+      result.peak_kv_blocks = std::max(result.peak_kv_blocks, allocator->used_units());
+      span.start_s = start;
+      span.exit_s = launch_batch(batch, /*prefill_tokens=*/0, start);
+      ++result.steady_decode_iterations;
+    }
+  };
+
   while (true) {
     double target = std::max(now, stage_free[0]);
     while (next_outage < options_.outages.size() &&
@@ -930,115 +1117,11 @@ SimResult ReplicaSimulator::Run(const Trace& trace) {
       continue;
     }
 
-    ++result.num_iterations;
-    CHECK_LE(result.num_iterations, options_.max_iterations) << "runaway scheduling loop";
-    if (checker != nullptr) {
-      checker->OnBatchScheduled(batch, now);
+    double exit = launch_batch(batch, batch.NumPrefillTokens(), now);
+    in_flight.push_back(InFlightBatch{std::move(batch), now, exit});
+    if (run_ahead && scheduler->IsSteadyDecodeBatch(in_flight.back().batch)) {
+      run_steady_span(in_flight.back());
     }
-
-    double iter_flops = 0.0;
-    double iter_bytes = 0.0;
-    double stage_time;
-    if (options_.reuse_buffers) {
-      // Fast path: one pass over the batch shape yields the stage time and
-      // the MFU/MBU accounting totals together (one KvSpan per sequence).
-      stage_time = engine_->StageTimeAndTotals(batch, &iter_flops, &iter_bytes);
-    } else {
-      stage_time = engine_->StageTime(batch);
-    }
-    // Gray-failure degradation: an iteration whose batch starts inside a
-    // slowdown episode runs slower on every pipeline stage; transient jitter
-    // stretches isolated iterations on top. (Monotonic cursor — batch starts
-    // never move backwards within a run.)
-    while (slowdown_cursor < options_.slowdowns.size() &&
-           options_.slowdowns[slowdown_cursor].end_s <= now) {
-      ++slowdown_cursor;
-    }
-    double stretch = 1.0;
-    if (slowdown_cursor < options_.slowdowns.size() &&
-        now >= options_.slowdowns[slowdown_cursor].start_s) {
-      stretch = options_.slowdowns[slowdown_cursor].factor;
-    }
-    stretch *= IterationJitterFactor(options_.jitter_seed, options_.trace_pid,
-                                     result.num_iterations, options_.jitter_probability,
-                                     options_.jitter_max_extra);
-    if (stretch > 1.0) {
-      stage_time *= stretch;
-      ++result.degraded_iterations;
-      if (metrics != nullptr) {
-        metrics->AddCount("degraded_iterations", now);
-      }
-    }
-    double start = now;
-    double enter = start;
-    std::string slice_name;
-    if (tracer != nullptr) {
-      slice_name = batch.Describe();
-    }
-    for (int s = 0; s < num_stages; ++s) {
-      double stage_start = std::max(stage_free[static_cast<size_t>(s)], enter);
-      result.stage_busy_s[static_cast<size_t>(s)] += stage_time;
-      if (tracer != nullptr) {
-        tracer->Complete("iteration", slice_name, stage_start, stage_time, s,
-                         {Arg("tokens", batch.TotalTokens()), Arg("decodes", batch.NumDecodes()),
-                          Arg("prefill_tokens", batch.NumPrefillTokens())});
-      }
-      if (flight != nullptr) {
-        // Literal name (not batch.Describe()): the flight path must not
-        // allocate in steady state; the shape args carry the batch identity.
-        flight->RecordComplete("iteration", "iteration", stage_start, stage_time, fpid, s,
-                               {{"tokens", static_cast<double>(batch.TotalTokens())},
-                                {"decodes", static_cast<double>(batch.NumDecodes())},
-                                {"prefill_tokens", static_cast<double>(batch.NumPrefillTokens())}});
-      }
-      enter = stage_start + stage_time;
-      stage_free[static_cast<size_t>(s)] = enter;
-    }
-    double exit = enter;
-    if (first_start < 0.0) {
-      first_start = start;
-    }
-    last_exit = std::max(last_exit, exit);
-
-    result.total_prefill_tokens += batch.NumPrefillTokens();
-    if (options_.reuse_buffers) {
-      // Totals were computed alongside the stage time above.
-      result.total_flops += iter_flops;
-      result.total_bytes += iter_bytes;
-    } else {
-      work_scratch = batch.ToBatchWork();
-      result.total_flops += engine_->cost_model().BatchFlops(work_scratch);
-      result.total_bytes += engine_->cost_model().BatchMemoryBytes(work_scratch);
-    }
-    if (options_.record_iterations) {
-      IterationRecord record;
-      record.start_s = start;
-      record.stage_time_s = stage_time;
-      record.exit_s = exit;
-      record.description = batch.Describe();
-      record.total_tokens = batch.TotalTokens();
-      record.num_decodes = batch.NumDecodes();
-      record.prefill_tokens = batch.NumPrefillTokens();
-      result.iterations.push_back(std::move(record));
-    }
-
-    if (metrics != nullptr) {
-      metrics->AddCount("iterations", start);
-      if (batch.NumPrefillTokens() > 0) {
-        metrics->AddCount("prefill_tokens", start,
-                          static_cast<double>(batch.NumPrefillTokens()));
-      }
-    }
-    for (const auto& item : batch.items) {
-      item.request->set_locked(true);
-      size_t idx = static_cast<size_t>(item.request->slot());
-      RequestMetrics& request_metrics = result.requests[idx];
-      if (request_metrics.first_scheduled_s < 0.0) {
-        request_metrics.first_scheduled_s = start;
-      }
-      span_transition(idx, item.is_decode ? kSpanDecode : kSpanPrefill, start);
-    }
-    in_flight.push_back(InFlightBatch{std::move(batch), start, exit});
   }
 
   if (prefix_cache != nullptr) {

@@ -668,17 +668,27 @@ void InvariantChecker::EndRun() {
         << " KV units still held (leak)";
     AddViolation(Invariant::kKvConservation, -1, out.str());
   }
+  // Reported by (request id, slot), not in the hash order of the states'
+  // addresses, so identical runs give identical reports, and keep the same
+  // violations under the cap.
+  std::vector<std::pair<std::pair<int64_t, int64_t>, const Shadow*>> open;
   for (const auto& [request, shadow] : shadows_) {
-    (void)request;
-    if (shadow.in_flight) {
-      AddViolation(Invariant::kBatchSanity, shadow.id,
+    if (shadow.in_flight || !shadow.closed) {
+      open.push_back({{shadow.id, request->slot()}, &shadow});
+    }
+  }
+  std::sort(open.begin(), open.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& [key, shadow] : open) {
+    if (shadow->in_flight) {
+      AddViolation(Invariant::kBatchSanity, shadow->id,
                    "still inside an in-flight batch at end of run");
     }
-    if (!shadow.closed) {
+    if (!shadow->closed) {
       std::ostringstream out;
-      out << "neither finished nor aborted at end of run (prefill " << shadow.prefill_done
-          << "/" << shadow.prefill_target << ", " << shadow.generated << " generated)";
-      AddViolation(Invariant::kTokenConservation, shadow.id, out.str());
+      out << "neither finished nor aborted at end of run (prefill " << shadow->prefill_done
+          << "/" << shadow->prefill_target << ", " << shadow->generated << " generated)";
+      AddViolation(Invariant::kTokenConservation, shadow->id, out.str());
     }
   }
 }

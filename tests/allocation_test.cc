@@ -64,10 +64,16 @@ SimulatorOptions BaseOptions(const Deployment& deployment, int64_t token_budget)
 // Allocations performed by simulating `trace` with a pre-warmed shared cost
 // model. The simulator itself is constructed inside the counted region: its
 // setup allocations are identical across traces with the same request count.
-int64_t AllocationsForRun(const SimulatorOptions& options, const Trace& trace) {
+// `steady`, when given, receives the run's steady_decode_iterations.
+int64_t AllocationsForRun(const SimulatorOptions& options, const Trace& trace,
+                          int64_t* steady = nullptr) {
   int64_t before = g_allocations.load(std::memory_order_relaxed);
-  ReplicaSimulator(options).Run(trace);
-  return g_allocations.load(std::memory_order_relaxed) - before;
+  int64_t steady_iterations = ReplicaSimulator(options).Run(trace).steady_decode_iterations;
+  int64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  if (steady != nullptr) {
+    *steady = steady_iterations;
+  }
+  return allocations;
 }
 
 TEST(AllocationTest, SteadyStateDecodeIterationsAreAllocationFree) {
@@ -89,8 +95,10 @@ TEST(AllocationTest, SteadyStateDecodeIterationsAreAllocationFree) {
   ReplicaSimulator(options).Run(long_trace);
   ReplicaSimulator(options).Run(short_trace);
 
-  int64_t short_allocs = AllocationsForRun(options, short_trace);
-  int64_t long_allocs = AllocationsForRun(options, long_trace);
+  int64_t short_steady = 0;
+  int64_t long_steady = 0;
+  int64_t short_allocs = AllocationsForRun(options, short_trace, &short_steady);
+  int64_t long_allocs = AllocationsForRun(options, long_trace, &long_steady);
 
   // 128 extra decode iterations per request must not cost a single
   // allocation. (token_times_s is reserved per request up front, batches and
@@ -98,6 +106,9 @@ TEST(AllocationTest, SteadyStateDecodeIterationsAreAllocationFree) {
   EXPECT_EQ(short_allocs, long_allocs)
       << "the longer run allocated " << (long_allocs - short_allocs)
       << " more times; some per-iteration path still touches the heap";
+  // Most of those iterations go through the steady-decode run-ahead.
+  EXPECT_GT(short_steady, 0);
+  EXPECT_GT(long_steady, short_steady);
 }
 
 TEST(AllocationTest, FlightRecorderAndSloMonitorStayAllocationFree) {
@@ -119,7 +130,7 @@ TEST(AllocationTest, FlightRecorderAndSloMonitorStayAllocationFree) {
   // Recorder and monitor are built inside the counted region: their setup
   // allocations are identical across the two traces, so any difference comes
   // from per-iteration or per-token recording.
-  auto allocations_for = [&](const Trace& trace) {
+  auto allocations_for = [&](const Trace& trace, int64_t* steady) {
     int64_t before = g_allocations.load(std::memory_order_relaxed);
     FlightRecorder::Options flight_options;
     flight_options.capacity = 512;
@@ -135,17 +146,22 @@ TEST(AllocationTest, FlightRecorderAndSloMonitorStayAllocationFree) {
     SimulatorOptions observed = options;
     observed.flight = &recorder;
     observed.slo = &monitor;
-    ReplicaSimulator(observed).Run(trace);
+    *steady = ReplicaSimulator(observed).Run(trace).steady_decode_iterations;
     EXPECT_GT(recorder.total_recorded(), 0);
     EXPECT_TRUE(monitor.alerts().empty());
     return g_allocations.load(std::memory_order_relaxed) - before;
   };
 
-  int64_t short_allocs = allocations_for(short_trace);
-  int64_t long_allocs = allocations_for(long_trace);
+  int64_t short_steady = 0;
+  int64_t long_steady = 0;
+  int64_t short_allocs = allocations_for(short_trace, &short_steady);
+  int64_t long_allocs = allocations_for(long_trace, &long_steady);
   EXPECT_EQ(short_allocs, long_allocs)
       << "with the flight recorder and SLO monitor attached the longer run "
       << "allocated " << (long_allocs - short_allocs) << " more times";
+  // The attached recorder and monitor do not stand the run-ahead down.
+  EXPECT_GT(short_steady, 0);
+  EXPECT_GT(long_steady, short_steady);
 }
 
 TEST(AllocationTest, ReuseBuffersOffAllocatesPerIteration) {
