@@ -144,6 +144,34 @@ void PagedBlockManager::AppendToken(SeqId id) {
   EmitKvObs(nullptr, id);  // Counter only; per-token instants would flood.
 }
 
+int64_t PagedBlockManager::TailRoom(SeqId id) const {
+  const SequenceState& state = FindState(id);
+  if (BlocksForTokens(state.num_tokens + 1) > static_cast<int64_t>(state.blocks.size())) {
+    return 0;
+  }
+  // Positions from here to the end of the block land in the same table slot
+  // (window_slots_ is whole blocks), which the table already covers: a
+  // windowed table past its cap holds every slot, and otherwise the slot's
+  // end is at most one block past this position's.
+  int64_t slot = window_slots_ > 0 ? state.num_tokens % window_slots_ : state.num_tokens;
+  int64_t block = state.blocks[static_cast<size_t>(slot / options_.block_size)];
+  // Appends to other sequences only take fresh blocks or drop references,
+  // so an exclusive block stays exclusive.
+  if (refcount_[static_cast<size_t>(block)] != 1) {
+    return 0;
+  }
+  return options_.block_size - slot % options_.block_size;
+}
+
+void PagedBlockManager::AdvanceTokens(SeqId id, int64_t tokens) {
+  CHECK_LE(tokens, TailRoom(id)) << "AdvanceTokens past the tail block";
+  BumpTokens(id, tokens);
+  for (int64_t i = 0; i < tokens; ++i) {
+    NotifyKv(obs_, KvVerifyEvent::kAppend, id);
+  }
+  EmitKvObs(nullptr, id);
+}
+
 std::vector<std::pair<SeqId, PagedBlockManager::CowOp>> PagedBlockManager::TakePendingCows() {
   std::vector<std::pair<SeqId, CowOp>> taken;
   taken.swap(pending_cows_);
@@ -368,8 +396,8 @@ std::vector<int64_t> PagedBlockManager::EraseTable(SeqId id) {
   return blocks;
 }
 
-void PagedBlockManager::BumpTokens(SeqId id) {
-  ++MutableState(id).num_tokens;
+void PagedBlockManager::BumpTokens(SeqId id, int64_t tokens) {
+  MutableState(id).num_tokens += tokens;
   MarkSequence(id);
 }
 
@@ -506,6 +534,22 @@ void ReservationAllocator::AppendToken(SeqId id) {
   CHECK_LT(it->second, max_seq_len_);
   ++it->second;
   NotifyKv(obs_, KvVerifyEvent::kAppend, id);
+}
+
+int64_t ReservationAllocator::TailRoom(SeqId id) const {
+  auto it = admitted_.find(id);
+  CHECK(it != admitted_.end()) << "unknown sequence " << id;
+  return max_seq_len_ - it->second;
+}
+
+void ReservationAllocator::AdvanceTokens(SeqId id, int64_t tokens) {
+  auto it = admitted_.find(id);
+  CHECK(it != admitted_.end()) << "unknown sequence " << id;
+  CHECK_LE(it->second + tokens, max_seq_len_);
+  it->second += tokens;
+  for (int64_t i = 0; i < tokens; ++i) {
+    NotifyKv(obs_, KvVerifyEvent::kAppend, id);
+  }
 }
 
 void ReservationAllocator::Release(SeqId id) {

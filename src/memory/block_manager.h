@@ -56,9 +56,12 @@ class PagedBlockManager : public KvAllocator {
   void Admit(SeqId id, int64_t prompt_len, int64_t max_total_len) override;
   bool CanAppendToken(SeqId id) const override;
   void AppendToken(SeqId id) override;
-  // An append takes at most one free block: a new tail block, or the copy
-  // of a shared one.
-  bool CanAppendToEach(int64_t num_seqs) const override { return free_blocks() >= num_seqs; }
+  // The tokens left in the sequence's tail block, or 0 when the next token
+  // needs a new block or the tail block is shared (copy-on-write). An
+  // append that does need one takes a single free block.
+  int64_t TailRoom(SeqId id) const override;
+  int64_t free_append_units() const override { return free_blocks(); }
+  void AdvanceTokens(SeqId id, int64_t tokens) override;
   void Release(SeqId id) override;
   double Utilization() const override;
   int64_t used_units() const override { return used_blocks(); }
@@ -154,8 +157,8 @@ class PagedBlockManager : public KvAllocator {
   // Removes `id`'s table and returns its blocks, whose references the caller
   // still holds.
   std::vector<int64_t> EraseTable(SeqId id);
-  // Counts one more token in `id`'s table.
-  void BumpTokens(SeqId id);
+  // Counts `tokens` more tokens in `id`'s table.
+  void BumpTokens(SeqId id, int64_t tokens = 1);
 
   // Logical token position -> index into the sequence's block table.
   int64_t BlockIndexFor(int64_t pos) const;
@@ -235,10 +238,10 @@ class ReservationAllocator : public KvAllocator {
   void Admit(SeqId id, int64_t prompt_len, int64_t max_total_len) override;
   bool CanAppendToken(SeqId id) const override;
   void AppendToken(SeqId id) override;
-  // Appends never share capacity here, and none can fail: CanAdmit requires
-  // max_total_len <= max_seq_len, and a sequence never holds more tokens
-  // than its prompt plus the outputs admission counted.
-  bool CanAppendToEach(int64_t /*num_seqs*/) const override { return true; }
+  // Appends never take a fresh unit here: a sequence can grow to
+  // max_seq_len, which CanAdmit already bounds its prompt plus outputs by.
+  int64_t TailRoom(SeqId id) const override;
+  void AdvanceTokens(SeqId id, int64_t tokens) override;
   void Release(SeqId id) override;
   double Utilization() const override;
   // Units are reserved token slots: every admission pins max_seq_len worth.

@@ -53,13 +53,26 @@ class KvAllocator {
   // Appends one generated token's KV entry.
   virtual void AppendToken(SeqId id) = 0;
 
-  // Whether one AppendToken to each of any `num_seqs` distinct admitted
-  // sequences, in any order, is sure to find CanAppendToken true at its
-  // turn. A sufficient condition, cheap enough to ask once per iteration;
-  // false (the default) promises nothing.
-  virtual bool CanAppendToEach(int64_t num_seqs) const {
-    (void)num_seqs;
-    return false;
+  // Appends the sequence can take, one at a time, before one needs a fresh
+  // allocation unit (a new block, or the copy of a shared one). Each of
+  // them finds CanAppendToken true, whatever the other sequences append
+  // meanwhile. 0 (the default) promises nothing.
+  virtual int64_t TailRoom(SeqId id) const {
+    (void)id;
+    return 0;
+  }
+
+  // Fresh allocation units appends can take right now: a set of sequences
+  // whose members with TailRoom 0 number at most this can each append one
+  // token, in any order. 0 (the default) promises nothing.
+  virtual int64_t free_append_units() const { return 0; }
+
+  // Makes `tokens` appends to the sequence, at most its TailRoom, with the
+  // effects of that many AppendToken calls. The default makes the calls.
+  virtual void AdvanceTokens(SeqId id, int64_t tokens) {
+    for (int64_t i = 0; i < tokens; ++i) {
+      AppendToken(id);
+    }
   }
 
   // Releases everything held by the sequence (finish or preemption).

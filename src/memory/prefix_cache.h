@@ -81,6 +81,9 @@ class PrefixCachingAllocator final : public PagedBlockManager {
   void Admit(SeqId id, int64_t prompt_len, int64_t max_total_len) override;
   bool CanAppendToken(SeqId id) const override;
   void AppendToken(SeqId id) override;
+  // Promises nothing: every append here goes through AppendToken, which
+  // also reclaims retained cache blocks when the free list runs dry.
+  int64_t TailRoom(SeqId /*id*/) const override { return 0; }
   void ReleaseFinished(SeqId id) override;
   void OnRequestDropped(SeqId id) override;
   int64_t cached_units() const override { return cached_count_; }

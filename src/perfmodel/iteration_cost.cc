@@ -264,10 +264,32 @@ CostBreakdown IterationCostModel::StageCostAndTotals(const BatchWork& batch, dou
     *bytes = 0.0;
     return {};
   }
-  int64_t total_tokens = batch.TotalTokens();
-  CostBreakdown cost =
-      TokenShapeCost(total_tokens, static_cast<int64_t>(batch.sequences.size()));
+  return StageCostAndTotals(
+      batch, StageShapeTerms(batch.TotalTokens(), static_cast<int64_t>(batch.sequences.size())),
+      flops, bytes);
+}
 
+IterationCostModel::ShapeTerms IterationCostModel::StageShapeTerms(
+    int64_t total_tokens, int64_t num_sequences) const {
+  // Each term is the expression BatchFlopsAndBytes evaluates, so the sums
+  // they open and close are bit-identical to its own.
+  const double layers = static_cast<double>(model_.num_layers);
+  const double tokens = static_cast<double>(total_tokens);
+  ShapeTerms shape;
+  shape.cost = TokenShapeCost(total_tokens, num_sequences);
+  shape.flops = 2.0 * tokens * layers * static_cast<double>(model_.ParamsPerLayer());
+  shape.bytes = static_cast<double>(model_.WeightBytes());
+  shape.head_flops = 2.0 * static_cast<double>(num_sequences) *
+                     static_cast<double>(model_.hidden_size) *
+                     static_cast<double>(model_.vocab_size);
+  shape.activation_bytes = 12.0 * tokens * static_cast<double>(model_.hidden_size) *
+                           static_cast<double>(model_.dtype_bytes) * layers;
+  return shape;
+}
+
+CostBreakdown IterationCostModel::StageCostAndTotals(const BatchWork& batch,
+                                                     const ShapeTerms& shape, double* flops,
+                                                     double* bytes) const {
   // Attention roofline state, accumulated exactly as in AttentionCost.
   int64_t t = parallel_.tensor_parallel;
   const GpuSpec& gpu = cluster_.gpu;
@@ -281,9 +303,8 @@ CostBreakdown IterationCostModel::StageCostAndTotals(const BatchWork& batch, dou
   const double layers = static_cast<double>(model_.num_layers);
   const double q_dim = static_cast<double>(model_.q_dim());
   const double kv_bytes_per_token = static_cast<double>(model_.KvBytesPerToken());
-  double tokens = static_cast<double>(total_tokens);
-  double f = 2.0 * tokens * layers * static_cast<double>(model_.ParamsPerLayer());
-  double b = static_cast<double>(model_.WeightBytes());
+  double f = shape.flops;
+  double b = shape.bytes;
 
   for (const auto& seq : batch.sequences) {
     double avg_kv = 0.0;
@@ -305,11 +326,10 @@ CostBreakdown IterationCostModel::StageCostAndTotals(const BatchWork& batch, dou
   if (any_decode) {
     attention_s += decode_agg.Total();
   }
-  f += 2.0 * static_cast<double>(batch.sequences.size()) *
-       static_cast<double>(model_.hidden_size) * static_cast<double>(model_.vocab_size);
-  b += 12.0 * tokens * static_cast<double>(model_.hidden_size) *
-       static_cast<double>(model_.dtype_bytes) * layers;
+  f += shape.head_flops;
+  b += shape.activation_bytes;
 
+  CostBreakdown cost = shape.cost;
   cost.attention_s += attention_s * static_cast<double>(layers_per_stage_);
   *flops = f;
   *bytes = b;

@@ -134,6 +134,26 @@ class IterationCostModel {
   // bit-identical to calling StageCost and BatchFlopsAndBytes individually.
   CostBreakdown StageCostAndTotals(const BatchWork& batch, double* flops, double* bytes) const;
 
+  // The terms of StageCostAndTotals that depend only on the batch shape
+  // (total tokens, sequence count): the memoized token-shape cost, the
+  // opening FLOP and byte sums, and the closing head and activation terms.
+  struct ShapeTerms {
+    CostBreakdown cost;
+    double flops = 0.0;
+    double bytes = 0.0;
+    double head_flops = 0.0;
+    double activation_bytes = 0.0;
+  };
+  ShapeTerms StageShapeTerms(int64_t total_tokens, int64_t num_sequences) const;
+
+  // StageCostAndTotals of a non-empty batch whose shape terms are `shape`:
+  // adds each sequence's attention, FLOP and byte terms in order. The form
+  // above looks the shape up and calls this one, so a caller that keeps the
+  // shape across calls (the replica loop's steady-decode chunks) gets
+  // bit-identical results.
+  CostBreakdown StageCostAndTotals(const BatchWork& batch, const ShapeTerms& shape,
+                                   double* flops, double* bytes) const;
+
   // Aggregate peak FLOP/s of the deployment (all GPUs).
   double PeakFlops() const {
     return cluster_.gpu.peak_fp16_flops * static_cast<double>(parallel_.num_gpus());

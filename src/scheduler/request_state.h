@@ -108,11 +108,12 @@ class RequestState {
     return false;
   }
 
-  // Applies completion of a decode step (one output token emitted).
-  void AdvanceDecode() {
+  // Applies completion of `steps` decode steps (one output token each), none
+  // of which may follow the last output token.
+  void AdvanceDecode(int64_t steps = 1) {
     CHECK(prefill_complete());
-    CHECK(!finished());
-    ++generated_;
+    CHECK_LE(generated_ + steps, output_tokens_);
+    generated_ += steps;
   }
 
   // Creates the state of a sequence forked from `parent` (parallel

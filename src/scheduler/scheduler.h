@@ -229,10 +229,21 @@ class Scheduler {
   // token without preemption, the next Schedule() forms the same batch again
   // and changes nothing but those appends. A driver may then complete and
   // relaunch `batch` itself, making each item's AppendToken in item order,
-  // instead of calling Schedule(). Off by default.
+  // instead of calling Schedule(), and may apply several completions at
+  // once through OnDecodeSteps without ObserveIterationTime, which must
+  // ignore a steady batch. Off by default.
   virtual bool IsSteadyDecodeBatch(const ScheduledBatch& batch) const {
     (void)batch;
     return false;
+  }
+
+  // Applies `steps` back-to-back completions of a steady decode batch, with
+  // the effects of that many OnBatchComplete calls. No request may finish
+  // before the last of them. The default makes the calls.
+  virtual void OnDecodeSteps(const ScheduledBatch& batch, int64_t steps) {
+    for (int64_t s = 0; s < steps; ++s) {
+      OnBatchComplete(batch);
+    }
   }
 
   // True if any request is waiting or running.

@@ -1966,6 +1966,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     const SimResult& result = results[static_cast<size_t>(r)];
     merged.num_iterations += result.num_iterations;
     merged.steady_decode_iterations += result.steady_decode_iterations;
+    merged.chunked_decode_iterations += result.chunked_decode_iterations;
     merged.num_preemptions += result.num_preemptions;
     merged.makespan_s = std::max(merged.makespan_s, result.makespan_s);
     merged.active_window_s = std::max(merged.active_window_s, result.active_window_s);

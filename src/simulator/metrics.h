@@ -121,6 +121,9 @@ struct SimResult {
   // result: it differs between the fast and the reference paths, and no
   // telemetry file writes it.
   int64_t steady_decode_iterations = 0;
+  // Of those, the steps run in bulk chunks between KV events (the same kind
+  // of counter).
+  int64_t chunked_decode_iterations = 0;
   int64_t num_preemptions = 0;
   double makespan_s = 0.0;  // Last completion time.
 

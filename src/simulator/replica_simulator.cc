@@ -211,7 +211,8 @@ SimResult ReplicaSimulator::Run(const Trace& trace) {
   std::vector<double> stage_free(static_cast<size_t>(num_stages), 0.0);
   std::vector<InFlightBatch> in_flight;
   in_flight.reserve(static_cast<size_t>(num_stages) + 1);
-  // Reused per-iteration shape scratch for MFU/MBU accounting.
+  // Reused per-iteration shape scratch: MFU/MBU accounting on the reference
+  // path, a chunk's advancing batch shape on the fast path.
   BatchWork work_scratch;
   size_t next_arrival = 0;
   double now = 0.0;
@@ -944,9 +945,89 @@ SimResult ReplicaSimulator::Run(const Trace& trace) {
   // The fast-path switch gates it, so reuse_buffers=false stays the
   // stepwise reference. docs/performance.md has the exactness argument.
   const bool run_ahead = options_.reuse_buffers && num_stages == 1 && !overload_active;
+  // Chunks: within a span, steps in which no item needs a new KV block, a
+  // copy-on-write or its last token differ only in each item's context,
+  // the clock and the run's totals. A chunk computes those per step and
+  // applies the per-item effects (token times, decode progress, KV token
+  // counts) once at its end, which is exact because nothing reads them in
+  // between. That needs a run nobody watches step by step: no checker or
+  // sink, no iteration log and no jitter. Slowdown episodes end a chunk.
+  const bool chunks = run_ahead && !obs.active() && slo_monitor == nullptr &&
+                      !options_.record_iterations &&
+                      (options_.jitter_probability <= 0.0 || options_.jitter_max_extra <= 0.0);
+  // Runs up to `max_steps` steps of the span's batch, each starting before
+  // `horizon`, as one chunk; returns how many it ran. Every item must have
+  // room for `max_steps` appends and more than `max_steps` tokens to go.
+  auto run_chunk = [&](InFlightBatch& span, int64_t max_steps, double horizon) -> int64_t {
+    const ScheduledBatch& batch = span.batch;
+    const auto size = static_cast<int64_t>(batch.size());
+    // A step inside a slowdown episode would be stretched.
+    while (slowdown_cursor < options_.slowdowns.size() &&
+           options_.slowdowns[slowdown_cursor].end_s <= span.exit_s) {
+      ++slowdown_cursor;
+    }
+    if (slowdown_cursor < options_.slowdowns.size()) {
+      horizon = std::min(horizon, options_.slowdowns[slowdown_cursor].start_s);
+    }
+    // launch_batch's CHECK stops the step past the limit.
+    max_steps = std::min(max_steps, options_.max_iterations - result.num_iterations);
+    // Each step's decodes read one more KV token each than the step
+    // before; the first step's, one more than the in-flight batch's.
+    batch.FillBatchWork(&work_scratch);
+    for (SequenceWork& seq : work_scratch.sequences) {
+      ++seq.context_len;
+    }
+    const IterationCostModel& cost_model = engine_->cost_model();
+    const IterationCostModel::ShapeTerms shape = cost_model.StageShapeTerms(size, size);
+    // The first item's token times, reserved for its whole output, collect
+    // the exits at which the chunk's completions emit.
+    std::vector<double>& exits =
+        result.requests[static_cast<size_t>(batch.items[0].request->slot())].token_times_s;
+    const size_t first_exit = exits.size();
+    // With one stage, each step starts as the previous one exits.
+    double exit = span.exit_s;
+    int64_t k = 0;
+    for (; k < max_steps && exit < horizon; ++k) {
+      exits.push_back(exit);
+      double flops = 0.0;
+      double bytes = 0.0;
+      double stage_time = cost_model.StageCostAndTotals(work_scratch, shape, &flops, &bytes).Total();
+      result.stage_busy_s[0] += stage_time;
+      exit += stage_time;
+      result.total_flops += flops;
+      result.total_bytes += bytes;
+      for (SequenceWork& seq : work_scratch.sequences) {
+        ++seq.context_len;
+      }
+    }
+    if (k == 0) {
+      return 0;
+    }
+    stage_free[0] = exit;
+    last_exit = std::max(last_exit, exit);
+    for (size_t i = 1; i < batch.items.size(); ++i) {
+      std::vector<double>& times =
+          result.requests[static_cast<size_t>(batch.items[i].request->slot())].token_times_s;
+      times.insert(times.end(), exits.begin() + static_cast<long>(first_exit), exits.end());
+    }
+    for (const BatchItem& item : batch.items) {
+      allocator->AdvanceTokens(item.request->id(), k);
+    }
+    scheduler->OnDecodeSteps(batch, k);
+    result.total_output_tokens += k * size;
+    result.num_iterations += k;
+    result.steady_decode_iterations += k;
+    result.chunked_decode_iterations += k;
+    span.start_s = exits.back();
+    span.exit_s = exit;
+    obs.SetNow(span.start_s);
+    return k;
+  };
+  // Each item's TailRoom, kept across a span's steps so that a step asks
+  // the allocator again only about the items that just took a fresh unit.
+  std::vector<int64_t> rooms;
   auto run_steady_span = [&](InFlightBatch& span) {
     ScheduledBatch& batch = span.batch;
-    const int64_t size = static_cast<int64_t>(batch.size());
     // Step k completes the batch for the k-th time since its launch; the
     // completion that emits an item's last token finishes it.
     int64_t steps = std::numeric_limits<int64_t>::max();
@@ -971,21 +1052,55 @@ SimResult ReplicaSimulator::Run(const Trace& trace) {
     if (next_outage < options_.outages.size()) {
       horizon = std::min(horizon, options_.outages[next_outage].down_s);
     }
-    // With one stage the next step starts when this one exits. Completing a
-    // batch that finishes nothing changes no KV, so the append check can
-    // come before it.
-    for (; steps > 0 && span.exit_s < horizon && allocator->CanAppendToEach(size); --steps) {
+    // With one stage the next step starts when this one exits.
+    if (steps <= 0 || span.exit_s >= horizon) {
+      return;
+    }
+    rooms.clear();
+    for (const BatchItem& item : batch.items) {
+      rooms.push_back(allocator->TailRoom(item.request->id()));
+    }
+    while (steps > 0 && span.exit_s < horizon) {
+      // The fewest appends any item has room for, and whether the items
+      // with none can each get a fresh unit. Completing a batch that
+      // finishes nothing changes no KV, so this can come before it.
+      int64_t room = std::numeric_limits<int64_t>::max();
+      int64_t needing = 0;
+      for (int64_t item_room : rooms) {
+        room = std::min(room, item_room);
+        needing += item_room == 0 ? 1 : 0;
+      }
+      if (needing > allocator->free_append_units()) {
+        break;
+      }
+      if (chunks && room > 0) {
+        int64_t k = run_chunk(span, std::min(steps, room), horizon);
+        if (k > 0) {
+          for (int64_t& item_room : rooms) {
+            item_room -= k;
+          }
+          steps -= k;
+          continue;
+        }
+      }
       // The completion half leaves the shared clock at the exit, which is
       // the next step's start.
       complete_batch(span);
       double start = span.exit_s;
-      for (const BatchItem& item : batch.items) {
-        allocator->AppendToken(item.request->id());
+      // An append within an item's room takes one from it. An item with no
+      // room asks again after its append, which may have taken a fresh
+      // unit; later items' appends only take fresh units or drop
+      // references, which never shrinks the answer.
+      for (size_t i = 0; i < batch.items.size(); ++i) {
+        SeqId id = batch.items[i].request->id();
+        allocator->AppendToken(id);
+        rooms[i] = rooms[i] > 0 ? rooms[i] - 1 : allocator->TailRoom(id);
       }
       result.peak_kv_blocks = std::max(result.peak_kv_blocks, allocator->used_units());
       span.start_s = start;
       span.exit_s = launch_batch(batch, /*prefill_tokens=*/0, start);
       ++result.steady_decode_iterations;
+      --steps;
     }
   };
 

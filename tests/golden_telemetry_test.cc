@@ -1,5 +1,5 @@
 // Cross-commit golden telemetry: pins the byte length and FNV-1a 64 hash of
-// every telemetry CSV for three fixed runs. Two runs of one build agreeing
+// every telemetry CSV for five fixed runs. Two runs of one build agreeing
 // (determinism_test.cc) cannot catch a change that shifts every run the same
 // way; these stored values can. A refactor of the simulator, the statistics
 // or the CSV writers must leave every entry below unchanged. A change that
@@ -17,6 +17,7 @@
 #include "src/simulator/cluster_simulator.h"
 #include "src/simulator/replica_simulator.h"
 #include "src/simulator/telemetry.h"
+#include "src/workload/diurnal.h"
 #include "src/workload/session_trace.h"
 #include "src/workload/trace.h"
 
@@ -155,6 +156,65 @@ TEST(GoldenTelemetryTest, PagedCachedSessionRun) {
       {"requests", 3726, 0x06fb922474dcdba9ull},
       {"tbt", 301652, 0x3f6194b4e767e27full},
       {"aggregate", 1202, 0x1066bf6ccbc7eccbull},
+      {"domains", 60, 0x082af2d94786519cull},
+  };
+  ExpectGolden(result, expected);
+}
+
+// The two shapes perfbench's `fleet` and `cluster` workloads run, scaled
+// down: mostly one or two decodes per step, so most steps are steady. No
+// iteration log is recorded, so the replicas run as those workloads do.
+TEST(GoldenTelemetryTest, AutoscaledDiurnalClusterOnTheSerialEngine) {
+  ClusterOptions options;
+  options.replica = MistralSarathi();
+  options.num_replicas = 4;
+  options.routing = RoutingPolicy::kRoundRobin;
+  options.jobs = 1;
+  options.autoscale.min_replicas = 1;
+  options.autoscale.scale_out_queue_s = 0.25;
+  options.autoscale.scale_in_queue_s = 0.05;
+  options.autoscale.provisioning_lag_s = 10.0;
+  options.autoscale.eval_interval_s = 5.0;
+  options.autoscale.cooldown_s = 10.0;
+  DiurnalOptions day;
+  day.mean_qps = 24.0;
+  day.duration_s = 240.0;
+  day.period_s = day.duration_s;
+  day.peak_at_s = day.duration_s / 2.0;
+  day.peak_to_trough = 6.0;
+  day.seed = 3;
+  SimResult result = ClusterSimulator(options).Run(UniformDiurnalTrace(day, 512, 64));
+  ASSERT_GT(result.autoscale_out, 0);
+  const Golden expected[5] = {
+      {"iterations", 85, 0xd257bb300148d19dull},
+      {"requests", 557334, 0x7b055dfaf8ef67bfull},
+      {"tbt", 6522169, 0x95d3eedfd895d40eull},
+      {"aggregate", 1360, 0x7cdff4fed83f3104ull},
+      {"domains", 60, 0x082af2d94786519cull},
+  };
+  ExpectGolden(result, expected);
+}
+
+TEST(GoldenTelemetryTest, RoundRobinClusterRound) {
+  ClusterOptions options;
+  options.replica = MistralSarathi();
+  options.num_replicas = 8;
+  options.routing = RoutingPolicy::kRoundRobin;
+  TraceOptions trace_options;
+  trace_options.num_requests = 2000;
+  trace_options.qps = 40.0;
+  trace_options.seed = 9;
+  Trace trace = GenerateTrace(OpenChatShareGpt4(), trace_options);
+  for (Request& r : trace.requests) {
+    r.prompt_tokens = 256;
+    r.output_tokens = 32;
+  }
+  SimResult result = ClusterSimulator(options).Run(trace);
+  const Golden expected[5] = {
+      {"iterations", 85, 0xd257bb300148d19dull},
+      {"requests", 189344, 0x931ef6ed0b4c8966ull},
+      {"tbt", 1117101, 0x9195914b64bd2a1aull},
+      {"aggregate", 1219, 0x84cdaec4e1bb8781ull},
       {"domains", 60, 0x082af2d94786519cull},
   };
   ExpectGolden(result, expected);
