@@ -542,16 +542,6 @@ int64_t ReservationAllocator::TailRoom(SeqId id) const {
   return max_seq_len_ - it->second;
 }
 
-void ReservationAllocator::AdvanceTokens(SeqId id, int64_t tokens) {
-  auto it = admitted_.find(id);
-  CHECK(it != admitted_.end()) << "unknown sequence " << id;
-  CHECK_LE(it->second + tokens, max_seq_len_);
-  it->second += tokens;
-  for (int64_t i = 0; i < tokens; ++i) {
-    NotifyKv(obs_, KvVerifyEvent::kAppend, id);
-  }
-}
-
 void ReservationAllocator::Release(SeqId id) {
   CHECK_EQ(admitted_.erase(id), 1u) << "unknown sequence " << id;
   NotifyKv(obs_, KvVerifyEvent::kRelease, id);

@@ -241,7 +241,6 @@ class ReservationAllocator : public KvAllocator {
   // Appends never take a fresh unit here: a sequence can grow to
   // max_seq_len, which CanAdmit already bounds its prompt plus outputs by.
   int64_t TailRoom(SeqId id) const override;
-  void AdvanceTokens(SeqId id, int64_t tokens) override;
   void Release(SeqId id) override;
   double Utilization() const override;
   // Units are reserved token slots: every admission pins max_seq_len worth.

@@ -108,12 +108,11 @@ class RequestState {
     return false;
   }
 
-  // Applies completion of `steps` decode steps (one output token each), none
-  // of which may follow the last output token.
-  void AdvanceDecode(int64_t steps = 1) {
+  // Applies completion of a decode step (one output token emitted).
+  void AdvanceDecode() {
     CHECK(prefill_complete());
-    CHECK_LE(generated_ + steps, output_tokens_);
-    generated_ += steps;
+    CHECK(!finished());
+    ++generated_;
   }
 
   // Creates the state of a sequence forked from `parent` (parallel

@@ -224,13 +224,4 @@ bool SarathiScheduler::IsSteadyDecodeBatch(const ScheduledBatch& batch) const {
   return true;
 }
 
-void SarathiScheduler::OnDecodeSteps(const ScheduledBatch& batch, int64_t steps) {
-  for (const auto& item : batch.items) {
-    item.request->AdvanceDecode(steps);
-    if (item.request->finished()) {
-      FinishRequest(item.request);
-    }
-  }
-}
-
 }  // namespace sarathi

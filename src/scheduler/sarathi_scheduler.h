@@ -52,12 +52,8 @@ class SarathiScheduler : public Scheduler {
   // repeats. A static budget is required: the dynamic controller moves the
   // budget after every iteration. (VTC inherits this: its queue reordering
   // is a no-op on an empty queue, and its counters advance in
-  // OnBatchComplete and OnDecodeSteps, which the replica loop still calls.)
+  // OnBatchComplete, which the driver still calls per step.)
   bool IsSteadyDecodeBatch(const ScheduledBatch& batch) const override;
-
-  // Advances every item by `steps` tokens at once. A subclass that adds to
-  // OnBatchComplete must add the same to this (VTC does).
-  void OnDecodeSteps(const ScheduledBatch& batch, int64_t steps) override;
 
   // Dynamic-budget controller (active when
   // config.dynamic_budget_tbt_slo_s > 0): AIMD adjustment of the working

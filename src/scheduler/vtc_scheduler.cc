@@ -81,18 +81,4 @@ void VtcScheduler::OnBatchComplete(const ScheduledBatch& batch) {
   SarathiScheduler::OnBatchComplete(batch);
 }
 
-void VtcScheduler::OnDecodeSteps(const ScheduledBatch& batch, int64_t steps) {
-  // Each step adds 1/w to an item's client counter. All additions to one
-  // counter are equal, so making an item's `steps` of them in a row leaves
-  // every counter bit-equal to stepwise completions.
-  for (const auto& item : batch.items) {
-    double& counter = counters_[item.request->client_id()];
-    double share = 1.0 / WeightOf(item.request->client_id());
-    for (int64_t s = 0; s < steps; ++s) {
-      counter += share;
-    }
-  }
-  SarathiScheduler::OnDecodeSteps(batch, steps);
-}
-
 }  // namespace sarathi

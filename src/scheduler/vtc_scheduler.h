@@ -38,7 +38,6 @@ class VtcScheduler : public SarathiScheduler {
 
   ScheduledBatch Schedule() override;
   void OnBatchComplete(const ScheduledBatch& batch) override;
-  void OnDecodeSteps(const ScheduledBatch& batch, int64_t steps) override;
 
   // Current virtual counter of a client (0 if never served).
   double CounterOf(int64_t client_id) const;
