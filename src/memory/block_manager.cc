@@ -96,9 +96,7 @@ void PagedBlockManager::Admit(SeqId id, int64_t prompt_len, int64_t max_total_le
   // AppendToken block growth never reallocates the table.
   std::vector<int64_t> blocks;
   blocks.reserve(static_cast<size_t>(std::max(needed, BlocksForTokens(max_total_len))));
-  for (int64_t i = 0; i < needed; ++i) {
-    blocks.push_back(AllocateBlock());
-  }
+  AllocateBlocks(needed, &blocks);
   AdmitTable(id, std::move(blocks), prompt_len);
   NotifyKv(obs_, KvVerifyEvent::kAdmit, id);
   EmitKvObs("kv_admit", id);
@@ -228,9 +226,7 @@ void PagedBlockManager::Fork(SeqId parent, SeqId child) {
 }
 
 void PagedBlockManager::Release(SeqId id) {
-  for (int64_t block : EraseTable(id)) {
-    ReleaseBlockRef(block);
-  }
+  ReleaseTableRefs(EraseTable(id));
   NotifyKv(obs_, KvVerifyEvent::kRelease, id);
   EmitKvObs("kv_release", id);
 }
@@ -331,6 +327,23 @@ int64_t PagedBlockManager::AllocateBlock() {
   return block;
 }
 
+void PagedBlockManager::AllocateBlocks(int64_t n, std::vector<int64_t>* blocks) {
+  CHECK_LE(n, free_blocks()) << "out of KV blocks";
+  // The last n free-list entries, last first, as n pop_backs would take them.
+  const auto first = free_list_.end() - n;
+  blocks->insert(blocks->end(), free_list_.rbegin(), free_list_.rbegin() + n);
+  free_list_.erase(first, free_list_.end());
+  for (auto it = blocks->end() - n; it != blocks->end(); ++it) {
+    auto block = static_cast<size_t>(*it);
+    CHECK_EQ(refcount_[block], 0);
+    refcount_[block] = 1;
+    if (tracking_) {
+      --free_copies_[block];
+      MarkBlock(*it);
+    }
+  }
+}
+
 void PagedBlockManager::AddBlockRef(int64_t block) {
   CHECK_GE(block, 0);
   CHECK_LT(block, options_.num_blocks);
@@ -348,6 +361,19 @@ void PagedBlockManager::ReleaseBlockRef(int64_t block) {
     if (tracking_) ++free_copies_[static_cast<size_t>(block)];
   }
   if (tracking_) MarkBlock(block);
+}
+
+void PagedBlockManager::ReleaseTableRefs(const std::vector<int64_t>& blocks) {
+  // A table's blocks are in range and each holds the table's reference, as
+  // the audit's per-sequence and per-block checks certify.
+  for (int64_t block : blocks) {
+    auto b = static_cast<size_t>(block);
+    if (--refcount_[b] == 0) {
+      free_list_.push_back(block);
+      if (tracking_) ++free_copies_[b];
+    }
+    if (tracking_) MarkBlock(block);
+  }
 }
 
 void PagedBlockManager::AdmitTable(SeqId id, std::vector<int64_t> blocks, int64_t num_tokens) {

@@ -136,10 +136,16 @@ class PagedBlockManager : public KvAllocator {
   // ---- Refcount mutators ----
   // Pops a free block and gives it one reference.
   int64_t AllocateBlock();
+  // Pops n free blocks in one range, in the order n AllocateBlock calls
+  // would, appending them to `blocks` with one reference each.
+  void AllocateBlocks(int64_t n, std::vector<int64_t>* blocks);
   // Adds one reference to a block (a fork, a prefix pin, the cache index).
   void AddBlockRef(int64_t block);
   // Drops one reference; the block returns to the free list at zero.
   void ReleaseBlockRef(int64_t block);
+  // ReleaseBlockRef for each block of a table EraseTable returned, in table
+  // order, in one pass.
+  void ReleaseTableRefs(const std::vector<int64_t>& blocks);
 
   // ---- Block-table mutators ----
   // These change table slots and token counts, never a refcount: the caller

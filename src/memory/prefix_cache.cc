@@ -201,9 +201,7 @@ void PrefixCachingAllocator::Admit(SeqId id, int64_t prompt_len, int64_t max_tot
   for (Node* node : matched) {
     blocks.push_back(node->block);
   }
-  for (int64_t i = 0; i < fresh; ++i) {
-    blocks.push_back(AllocateBlock());
-  }
+  AllocateBlocks(fresh, &blocks);
   AdmitTable(id, std::move(blocks), prompt_len);
   NotifyKv(obs_, KvVerifyEvent::kAdmit, id);
   EmitKvObs("kv_admit", id);

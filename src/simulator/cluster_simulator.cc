@@ -1,6 +1,7 @@
 #include "src/simulator/cluster_simulator.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -20,26 +21,18 @@ namespace sarathi {
 namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
-constexpr size_t kNoSlot = static_cast<size_t>(-1);
+constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
 // Inserts `request` keeping the sub-trace sorted by arrival time; among equal
-// arrivals the new request goes last (stable).
-void InsertSorted(Trace* trace, const Request& request) {
+// arrivals the new request goes last (stable). `owners` runs parallel to the
+// sub-trace and takes `attempt` at the same position.
+void InsertSorted(Trace* trace, std::vector<uint32_t>* owners, const Request& request,
+                  uint32_t attempt) {
   auto it = std::upper_bound(trace->requests.begin(), trace->requests.end(),
                              request.arrival_time_s,
                              [](double t, const Request& r) { return t < r.arrival_time_s; });
+  owners->insert(owners->begin() + (it - trace->requests.begin()), attempt);
   trace->requests.insert(it, request);
-}
-
-// Sub-trace request of the service attempt with this id and arrival time, for
-// stamping planned aborts (migration checkpoints, drains, hedge cancels).
-Request* FindSubRequest(Trace* trace, int64_t id, double arrival_s) {
-  for (Request& r : trace->requests) {
-    if (r.id == id && r.arrival_time_s == arrival_s) {
-      return &r;
-    }
-  }
-  return nullptr;
 }
 
 // Sorts and coalesces overlapping/adjacent intervals in place. Domain crash
@@ -422,8 +415,14 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
   const size_t num_requests = trace.size();
 
   FaultInjector injector(options_.faults);
-  Trace stamped = trace;
-  injector.ApplyTimeouts(&stamped);
+  // Client deadlines, stamped on a copy only when stamping changes one.
+  Trace stamped_copy;
+  const bool stamp = injector.ChangesDeadlines(trace);
+  if (stamp) {
+    stamped_copy = trace;
+    injector.ApplyTimeouts(&stamped_copy);
+  }
+  const Trace& stamped = stamp ? stamped_copy : trace;
 
   double last_arrival = 0.0;
   int64_t trace_tokens = 0;
@@ -632,16 +631,57 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
   std::vector<Trace> sub(static_cast<size_t>(n));
   for (Trace& s : sub) {
     s.name = trace.name;
+    s.requests.reserve(num_requests / static_cast<size_t>(n) + 1);
   }
   assignment_.assign(num_requests, -1);
-  // Service-attempt history per trace request: (replica, attempt arrival).
-  // migrated_in marks attempts that resumed from transferred KV.
+  // Every service attempt, in dispatch order. A trace request's chain (its
+  // initial dispatch, crash retries, timeout re-offers and failover hops)
+  // links through `next`; hedges and partition duplicates stand outside any
+  // chain. migrated_in marks attempts that resumed from transferred KV.
+  // `slot` is the attempt's index in its replica's latest result: a sub-trace
+  // position, since a replica's result lists its sub-trace in order.
   struct Attempt {
     int replica;
     double arrival_s;
     bool migrated_in = false;
+    uint32_t next = kNone;
+    uint32_t slot = kNone;
   };
-  std::vector<std::vector<Attempt>> chains(num_requests);
+  struct Chain {
+    uint32_t first = kNone;
+    uint32_t last = kNone;
+    int64_t length = 0;
+  };
+  std::vector<Attempt> attempts;
+  attempts.reserve(num_requests);
+  std::vector<Chain> chains(num_requests);
+  // owners[r][k] is the attempt that sub[r].requests[k] serves.
+  std::vector<std::vector<uint32_t>> owners(static_cast<size_t>(n));
+  for (std::vector<uint32_t>& owned : owners) {
+    owned.reserve(num_requests / static_cast<size_t>(n) + 1);
+  }
+  // Dispatches `request` (arriving at its arrival_time_s) to `replica` as a
+  // new attempt and returns the attempt's index.
+  auto dispatch = [&](const Request& request, int replica, bool migrated_in) {
+    const auto a = static_cast<uint32_t>(attempts.size());
+    CHECK_LT(attempts.size(), static_cast<size_t>(kNone));
+    attempts.push_back({replica, request.arrival_time_s, migrated_in});
+    InsertSorted(&sub[static_cast<size_t>(replica)], &owners[static_cast<size_t>(replica)],
+                 request, a);
+    return a;
+  };
+  // Dispatches `request` as the next attempt of trace request i's chain.
+  auto extend_chain = [&](size_t i, const Request& request, int replica, bool migrated_in) {
+    uint32_t a = dispatch(request, replica, migrated_in);
+    Chain& chain = chains[i];
+    if (chain.last == kNone) {
+      chain.first = a;
+    } else {
+      attempts[chain.last].next = a;
+    }
+    chain.last = a;
+    ++chain.length;
+  };
   std::vector<bool> shed(num_requests, false);
   // Router-decided final failures: a retry whose remaining deadline had
   // already expired is recorded as a timeout, not retried.
@@ -902,9 +942,8 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
       tbt_samples.push_back({t, memo->second});
     }
     assignment_[i] = pick;
-    chains[i].push_back({pick, t, false});
+    extend_chain(i, request, pick, false);
     retry_budget.OnRequest(t);
-    InsertSorted(&sub[static_cast<size_t>(pick)], request);
   }
   if (autoscale_active_) {
     // Launches still pending after the last arrival open anyway (their
@@ -931,11 +970,6 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
 
   // ---- Simulate; re-route crash-interrupted requests until quiescent ----
   std::vector<SimResult> results(static_cast<size_t>(n));
-  // Per-replica attempt index: request id -> (attempt arrival, metrics slot),
-  // invalidated when the replica re-simulates and rebuilt lazily. Replaces
-  // the linear result scans that dominated fleet-scale merges.
-  std::vector<std::unordered_map<int64_t, std::vector<std::pair<double, size_t>>>>
-      attempt_index(static_cast<size_t>(n));
   auto simulate = [&](int r, const std::shared_ptr<IterationCostModel>& model,
                       InvariantChecker* checker) {
     SimulatorOptions replica_options = options_.replica;
@@ -968,7 +1002,11 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     }
     results[static_cast<size_t>(r)] =
         ReplicaSimulator(replica_options).Run(sub[static_cast<size_t>(r)]);
-    attempt_index[static_cast<size_t>(r)].clear();
+    // Shards write the slots of disjoint attempt sets.
+    const std::vector<uint32_t>& owned = owners[static_cast<size_t>(r)];
+    for (size_t k = 0; k < owned.size(); ++k) {
+      attempts[owned[k]].slot = static_cast<uint32_t>(k);
+    }
   };
   // ---- Sharded parallel execution ----
   // Replicas partition into contiguous shards, one RunMany task per shard.
@@ -1030,25 +1068,20 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
       }
     }
   };
-  auto find_slot = [&](int replica, int64_t id, double arrival_s) -> size_t {
-    auto& index = attempt_index[static_cast<size_t>(replica)];
-    const SimResult& result = results[static_cast<size_t>(replica)];
-    if (index.empty() && !result.requests.empty()) {
-      index.reserve(result.requests.size());
-      for (size_t slot = 0; slot < result.requests.size(); ++slot) {
-        index[result.requests[slot].id].push_back({result.requests[slot].arrival_s, slot});
-      }
-    }
-    auto it = index.find(id);
-    if (it == index.end()) {
-      return kNoSlot;
-    }
-    for (const auto& [attempt_arrival_s, slot] : it->second) {
-      if (attempt_arrival_s == arrival_s) {
-        return slot;  // Slots ascend per id: same pick as the linear scan.
-      }
-    }
-    return kNoSlot;
+  // The metrics attempt `a` got in its replica's latest run.
+  auto metrics_of = [&](uint32_t a) -> RequestMetrics& {
+    const Attempt& attempt = attempts[a];
+    CHECK_NE(attempt.slot, kNone);
+    return results[static_cast<size_t>(attempt.replica)].requests[attempt.slot];
+  };
+  // The sub-trace request of attempt `a`, for stamping planned aborts
+  // (migration checkpoints, drains, hedge cancels). Its replica has run since
+  // the last dispatch to it, so the slot is still its sub-trace position.
+  auto sub_request_of = [&](uint32_t a) -> Request& {
+    const Attempt& attempt = attempts[a];
+    CHECK_NE(attempt.slot, kNone);
+    CHECK_EQ(owners[static_cast<size_t>(attempt.replica)][attempt.slot], a);
+    return sub[static_cast<size_t>(attempt.replica)].requests[attempt.slot];
   };
   {
     std::vector<int> all(static_cast<size_t>(n));
@@ -1060,7 +1093,14 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
   // replicas that received work. Re-simulation only ever adds load, so a
   // previously interrupted attempt stays interrupted and the loop converges:
   // total attempts are capped at num_requests * (max_retries + 1).
+  // Only an outage interrupts an attempt with a crash.
+  const bool any_outage =
+      std::any_of(outage_schedules_.begin(), outage_schedules_.end(),
+                  [](const std::vector<ReplicaOutage>& outages) { return !outages.empty(); });
   auto run_retry_rounds = [&]() {
+    if (!any_outage) {
+      return;
+    }
     int64_t round_guard =
         static_cast<int64_t>(num_requests) * (options_.max_retries + 1) + 1;
     while (round_guard-- > 0) {
@@ -1074,14 +1114,11 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
             failure_override[i].first != FailureKind::kNone) {
           continue;
         }
-        const Attempt& last = chains[i].back();
-        size_t slot = find_slot(last.replica, stamped.requests[i].id, last.arrival_s);
-        CHECK_NE(slot, kNoSlot);
-        const RequestMetrics& m = results[static_cast<size_t>(last.replica)].requests[slot];
+        const RequestMetrics& m = metrics_of(chains[i].last);
         if (!m.failed() || m.failure != FailureKind::kReplicaCrash) {
           continue;  // Completed, still only timed out, or never failed.
         }
-        int used = static_cast<int>(chains[i].size()) - 1;
+        int used = static_cast<int>(chains[i].length) - 1;
         if (used >= options_.max_retries) {
           continue;  // Retries exhausted: the crash failure stands.
         }
@@ -1133,13 +1170,14 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         attempt.arrival_time_s = retry.time;
         // Distinct round → distinct async-span id, even when the retry lands
         // back on a replica that already traced an attempt of this request.
-        attempt.retry_round = static_cast<int64_t>(chains[i].size());
+        attempt.retry_round = chains[i].length;
         if (attempt.deadline_s > 0.0) {
           // The client's clock is already running; only the remainder of its
           // current window is available to the retried attempt.
           attempt.deadline_s = deadline_abs[i] - retry.time;
         }
-        int pick = Route(attempt.total_tokens(), retry.time, chains[i].back().replica, &router);
+        int pick = Route(attempt.total_tokens(), retry.time, attempts[chains[i].last].replica,
+                         &router);
         if (pick < 0) {
           continue;  // Every live replica quarantined or down: failure stands.
         }
@@ -1151,8 +1189,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         if (dest_metrics != nullptr) {
           dest_metrics->AddCount("retries", retry.time);
         }
-        chains[i].push_back({pick, retry.time, false});
-        InsertSorted(&sub[static_cast<size_t>(pick)], attempt);
+        extend_chain(i, attempt, pick, false);
         dirty.insert(pick);
       }
       if (dirty.empty()) {
@@ -1164,11 +1201,6 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
   run_retry_rounds();
 
   auto deadline_abs_of = [&](size_t i) { return deadline_abs[i]; };
-  auto attempt_metrics = [&](const Attempt& attempt, int64_t id) -> const RequestMetrics& {
-    size_t slot = find_slot(attempt.replica, id, attempt.arrival_s);
-    CHECK_NE(slot, kNoSlot);
-    return results[static_cast<size_t>(attempt.replica)].requests[slot];
-  };
 
   // ---- Client timeout-retries (the metastable amplification source) ----
   // A client whose deadline expired re-offers the request after a fixed,
@@ -1179,8 +1211,8 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
   // denies re-offers while engaged, which is what breaks the loop.
   int64_t timeout_retries = 0;
   int64_t cascade_retry_denied = 0;
-  std::vector<int> timeout_tries(num_requests, 0);
   if (options_.timeout_retry_max > 0) {
+    std::vector<int> timeout_tries(num_requests, 0);
     int guard = options_.timeout_retry_max + 1;
     while (guard-- > 0) {
       struct Reoffer {
@@ -1201,8 +1233,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         } else if (failure_override[i].first != FailureKind::kNone) {
           continue;
         } else {
-          const RequestMetrics& m =
-              attempt_metrics(chains[i].back(), stamped.requests[i].id);
+          const RequestMetrics& m = metrics_of(chains[i].last);
           if (!m.failed() || m.failure != FailureKind::kTimeout) {
             continue;
           }
@@ -1240,7 +1271,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         }
         Request attempt = stamped.requests[i];
         attempt.arrival_time_s = re.time;
-        attempt.retry_round = static_cast<int64_t>(chains[i].size());
+        attempt.retry_round = chains[i].length;
         int pick = Route(attempt.total_tokens(), re.time, /*exclude=*/-1, &router);
         if (pick < 0) {
           continue;
@@ -1250,8 +1281,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
           deadline_abs[i] = re.time + stamped.requests[i].deadline_s;
         }
         failure_override[i] = {FailureKind::kNone, -1.0};
-        chains[i].push_back({pick, re.time, false});
-        InsertSorted(&sub[static_cast<size_t>(pick)], attempt);
+        extend_chain(i, attempt, pick, false);
         dirty.insert(pick);
         ++timeout_retries;
         if (dest_tracer != nullptr) {
@@ -1294,8 +1324,8 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
           stamped.requests[i].num_samples > 1) {
         continue;
       }
-      const Attempt& att = chains[i].back();
-      const RequestMetrics& m = attempt_metrics(att, stamped.requests[i].id);
+      const Attempt& att = attempts[chains[i].last];
+      const RequestMetrics& m = metrics_of(chains[i].last);
       if (m.failure == FailureKind::kReplicaCrash || m.token_times_s.empty()) {
         continue;
       }
@@ -1338,12 +1368,9 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         continue;  // Nowhere to move it; the request rides out the slowdown.
       }
       d.dst = pick;
-      Request* sub_request = FindSubRequest(&sub[static_cast<size_t>(d.src)], original.id,
-                                            chains[d.index].back().arrival_s);
-      CHECK(sub_request != nullptr);
-      sub_request->planned_abort =
-          live_migrate ? PlannedAbort::kMigrateOut : PlannedAbort::kDrain;
-      sub_request->planned_abort_s = d.plan_s;
+      Request& sub_request = sub_request_of(chains[d.index].last);
+      sub_request.planned_abort = live_migrate ? PlannedAbort::kMigrateOut : PlannedAbort::kDrain;
+      sub_request.planned_abort_s = d.plan_s;
       dirty_src.insert(d.src);
       accepted.push_back(d);
       if (dest_tracer != nullptr) {
@@ -1366,8 +1393,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     std::vector<Transfer> transfers;
     std::set<int> dirty_dst;
     for (const Failover& d : accepted) {
-      const RequestMetrics& sm =
-          attempt_metrics(chains[d.index].back(), stamped.requests[d.index].id);
+      const RequestMetrics& sm = metrics_of(chains[d.index].last);
       FailureKind want = live_migrate ? FailureKind::kMigrated : FailureKind::kDegradedDrain;
       if (sm.failure != want) {
         if (live_migrate) {
@@ -1384,13 +1410,12 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         }
         Request attempt = stamped.requests[d.index];
         attempt.arrival_time_s = t;
-        attempt.retry_round = static_cast<int64_t>(chains[d.index].size());
+        attempt.retry_round = chains[d.index].length;
         attempt.num_samples = 1;
         if (attempt.deadline_s > 0.0) {
           attempt.deadline_s = deadline_abs - t;
         }
-        chains[d.index].push_back({d.dst, t, false});
-        InsertSorted(&sub[static_cast<size_t>(d.dst)], attempt);
+        extend_chain(d.index, attempt, d.dst, false);
         dirty_dst.insert(d.dst);
         ++drain_failovers;
         if (dest_metrics != nullptr) {
@@ -1431,14 +1456,13 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
       }
       Request attempt = original;
       attempt.arrival_time_s = ready;
-      attempt.retry_round = static_cast<int64_t>(chains[tr.index].size());
+      attempt.retry_round = chains[tr.index].length;
       attempt.num_samples = 1;
       attempt.restored_generated = tr.generated;
       if (attempt.deadline_s > 0.0) {
         attempt.deadline_s = deadline_abs - ready;
       }
-      chains[tr.index].push_back({tr.dst, ready, true});
-      InsertSorted(&sub[static_cast<size_t>(tr.dst)], attempt);
+      extend_chain(tr.index, attempt, tr.dst, true);
       dirty_dst.insert(tr.dst);
       ++migrations_done;
       migrated_kv_bytes += bytes;
@@ -1466,13 +1490,16 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
   // at the window's end), and the loser is suppressed — cancelled mid-service
   // where a cancel can reach it.
   struct PartitionDup {
-    bool issued = false;
-    int replica = -1;
-    double arrival_s = 0.0;
+    uint32_t attempt = kNone;
     double p_begin = 0.0;
     double p_end = 0.0;
   };
-  std::vector<PartitionDup> pdups(num_requests);
+  const bool any_partition =
+      std::any_of(partition_windows_.begin(), partition_windows_.end(),
+                  [](const std::vector<ReplicaOutage>& windows) { return !windows.empty(); });
+  // Per trace request; left empty when nothing partitions.
+  std::vector<PartitionDup> pdups(any_partition ? num_requests : 0);
+  auto pdup_of = [&](size_t i) { return pdups.empty() ? kNone : pdups[i].attempt; };
   int64_t partition_redispatches = 0;
   int64_t partition_reconciled = 0;
   // Client-visible delivery time of an emission from `replica` at time t:
@@ -1488,19 +1515,19 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     }
     return t;
   };
-  {
+  if (any_partition) {
     std::set<int> dirty;
     for (size_t i = 0; i < num_requests; ++i) {
       if (shed[i] || failure_override[i].first != FailureKind::kNone ||
           stamped.requests[i].num_samples > 1) {
         continue;
       }
-      const Attempt& att = chains[i].back();
+      const Attempt att = attempts[chains[i].last];
       if (att.migrated_in || quarantined_[static_cast<size_t>(att.replica)] ||
           partition_windows_[static_cast<size_t>(att.replica)].empty()) {
         continue;
       }
-      const RequestMetrics& m = attempt_metrics(att, stamped.requests[i].id);
+      const RequestMetrics& m = metrics_of(chains[i].last);
       if (m.failure == FailureKind::kReplicaCrash) {
         continue;  // The retry machinery owns crash-interrupted attempts.
       }
@@ -1528,7 +1555,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         }
         Request attempt = stamped.requests[i];
         attempt.arrival_time_s = td;
-        attempt.retry_round = static_cast<int64_t>(chains[i].size());
+        attempt.retry_round = chains[i].length;
         attempt.num_samples = 1;
         if (attempt.deadline_s > 0.0) {
           attempt.deadline_s = deadline_abs[i] - td;
@@ -1537,8 +1564,7 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         if (pick < 0 || pick == att.replica) {
           break;  // Nowhere reachable to duplicate onto.
         }
-        pdups[i] = {true, pick, td, w.down_s, w.up_s};
-        InsertSorted(&sub[static_cast<size_t>(pick)], attempt);
+        pdups[i] = {dispatch(attempt, pick, false), w.down_s, w.up_s};
         dirty.insert(pick);
         ++partition_redispatches;
         if (dest_tracer != nullptr) {
@@ -1560,29 +1586,27 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     // cannot cross the partition.
     std::set<int> dirty_cancel;
     for (size_t i = 0; i < num_requests; ++i) {
-      if (!pdups[i].issued) {
+      const uint32_t dup = pdups[i].attempt;
+      if (dup == kNone) {
         continue;
       }
-      const Attempt& far = chains[i].back();
-      const RequestMetrics& fm = attempt_metrics(far, stamped.requests[i].id);
-      Attempt dup_attempt{pdups[i].replica, pdups[i].arrival_s, false};
-      const RequestMetrics& dm = attempt_metrics(dup_attempt, stamped.requests[i].id);
-      double f_fin = fm.completed() ? deliver_time(far.replica, fm.completion_s) : kInfinity;
+      const uint32_t far = chains[i].last;
+      const RequestMetrics& fm = metrics_of(far);
+      const RequestMetrics& dm = metrics_of(dup);
+      double f_fin =
+          fm.completed() ? deliver_time(attempts[far].replica, fm.completion_s) : kInfinity;
       double d_fin = dm.completed() ? dm.completion_s : kInfinity;
       if (f_fin == kInfinity && d_fin == kInfinity) {
         continue;  // Neither attempt ever completes; nothing to suppress.
       }
       bool far_wins = f_fin <= d_fin;  // Ties go to the original attempt.
       double t_win = far_wins ? f_fin : d_fin;
-      int loser_replica = far_wins ? pdups[i].replica : far.replica;
-      double loser_arrival = far_wins ? pdups[i].arrival_s : far.arrival_s;
+      uint32_t loser = far_wins ? dup : far;
       double t_cancel = far_wins ? t_win : std::max(t_win, pdups[i].p_end);
-      Request* sub_request = FindSubRequest(&sub[static_cast<size_t>(loser_replica)],
-                                            stamped.requests[i].id, loser_arrival);
-      CHECK(sub_request != nullptr);
-      sub_request->planned_abort = PlannedAbort::kHedgeCancel;
-      sub_request->planned_abort_s = t_cancel;
-      dirty_cancel.insert(loser_replica);
+      Request& sub_request = sub_request_of(loser);
+      sub_request.planned_abort = PlannedAbort::kHedgeCancel;
+      sub_request.planned_abort_s = t_cancel;
+      dirty_cancel.insert(attempts[loser].replica);
     }
     simulate_all({dirty_cancel.begin(), dirty_cancel.end()});
   }
@@ -1594,12 +1618,8 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
   // Winners are decided from the pre-cancellation timeline; cancellation only
   // removes load, so the decided winner still finishes by its decided time
   // and the merge re-reads the final metrics either way.
-  struct HedgeInfo {
-    bool issued = false;
-    int replica = -1;
-    double arrival_s = 0.0;
-  };
-  std::vector<HedgeInfo> hedges(num_requests);
+  // Attempt index per trace request; left empty when hedging is off.
+  std::vector<uint32_t> hedges(options_.hedge_after_s > 0.0 ? num_requests : 0, kNone);
   int64_t hedges_issued = 0;
   if (options_.hedge_after_s > 0.0) {
     std::set<int> dirty;
@@ -1608,16 +1628,16 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
           stamped.requests[i].num_samples > 1) {
         continue;
       }
-      const Attempt& att = chains[i].back();
+      const Attempt att = attempts[chains[i].last];
       // Requests on (or migrated off) a quarantined replica are already being
       // handled by the failover path; hedging them too would stamp cancels
       // onto a replica whose checkpoint timings must stay frozen. Requests
       // caught behind a partition are owned by the redispatch path above.
       if (att.migrated_in || quarantined_[static_cast<size_t>(att.replica)] ||
-          pdups[i].issued) {
+          pdup_of(i) != kNone) {
         continue;
       }
-      const RequestMetrics& m = attempt_metrics(att, stamped.requests[i].id);
+      const RequestMetrics& m = metrics_of(chains[i].last);
       double done_t = m.completed() ? m.completion_s : (m.failed() ? m.failed_s : kInfinity);
       double deadline_abs = deadline_abs_of(i);
       for (const DetectedInterval& d : detected_[static_cast<size_t>(att.replica)]) {
@@ -1676,15 +1696,14 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
         Request attempt = stamped.requests[i];
         attempt.arrival_time_s = t_h;
         // Hedges sit outside the retry chain but still need a round of their
-        // own: chains[i].size() is one past the last chained attempt's round,
+        // own: the chain length is one past the last chained attempt's round,
         // and no further chain attempt is created after hedging.
-        attempt.retry_round = static_cast<int64_t>(chains[i].size());
+        attempt.retry_round = chains[i].length;
         attempt.num_samples = 1;
         if (attempt.deadline_s > 0.0) {
           attempt.deadline_s = deadline_abs - t_h;
         }
-        hedges[i] = {true, pick, t_h};
-        InsertSorted(&sub[static_cast<size_t>(pick)], attempt);
+        hedges[i] = dispatch(attempt, pick, false);
         dirty.insert(pick);
         ++hedges_issued;
         if (dest_tracer != nullptr) {
@@ -1705,66 +1724,73 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     // primary's failure.
     std::set<int> dirty_cancel;
     for (size_t i = 0; i < num_requests; ++i) {
-      if (!hedges[i].issued) {
+      const uint32_t hedge = hedges[i];
+      if (hedge == kNone) {
         continue;
       }
-      const Attempt& primary = chains[i].back();
-      const RequestMetrics& pm = attempt_metrics(primary, stamped.requests[i].id);
-      Attempt hedge_attempt{hedges[i].replica, hedges[i].arrival_s, false};
-      const RequestMetrics& hm = attempt_metrics(hedge_attempt, stamped.requests[i].id);
+      const uint32_t primary = chains[i].last;
+      const RequestMetrics& pm = metrics_of(primary);
+      const RequestMetrics& hm = metrics_of(hedge);
       double p_fin = pm.completed() ? pm.completion_s : kInfinity;
       double h_fin = hm.completed() ? hm.completion_s : kInfinity;
       double t_win;
-      int loser_replica;
-      double loser_arrival;
+      uint32_t loser;
       if (h_fin < p_fin) {
         t_win = h_fin;
-        loser_replica = primary.replica;
-        loser_arrival = primary.arrival_s;
+        loser = primary;
       } else if (p_fin < kInfinity) {
         t_win = p_fin;
-        loser_replica = hedges[i].replica;
-        loser_arrival = hedges[i].arrival_s;
+        loser = hedge;
       } else {
         continue;
       }
-      Request* sub_request = FindSubRequest(&sub[static_cast<size_t>(loser_replica)],
-                                            stamped.requests[i].id, loser_arrival);
-      CHECK(sub_request != nullptr);
-      sub_request->planned_abort = PlannedAbort::kHedgeCancel;
-      sub_request->planned_abort_s = t_win;
-      dirty_cancel.insert(loser_replica);
+      Request& sub_request = sub_request_of(loser);
+      sub_request.planned_abort = PlannedAbort::kHedgeCancel;
+      sub_request.planned_abort_s = t_win;
+      dirty_cancel.insert(attempts[loser].replica);
     }
     simulate_all({dirty_cancel.begin(), dirty_cancel.end()});
   }
 
   // ---- Merge ----
+  // Every slot of a replica's final result is either one attempt's (its
+  // sub-trace position) or a forked sibling's (past the sub-trace), and the
+  // merge reads a slot only while merging the request it belongs to. So it
+  // moves what it keeps instead of copying it: no later read can tell.
   SimResult merged;
   merged.scheduler_name = results[0].scheduler_name + " x" + std::to_string(n) + " (" +
                           std::string(RoutingPolicyName(options_.routing)) + ")";
-  merged.requests.resize(num_requests);
-  std::vector<std::vector<bool>> consumed(static_cast<size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    consumed[static_cast<size_t>(r)].assign(results[static_cast<size_t>(r)].requests.size(),
-                                            false);
+  size_t num_forked = 0;  // The slots past each replica's sub-trace.
+  for (size_t r = 0; r < sub.size(); ++r) {
+    CHECK_LE(sub[r].size(), results[r].requests.size());
+    num_forked += results[r].requests.size() - sub[r].size();
   }
+  merged.requests.reserve(num_requests + num_forked);
+  // Appends attempt a's tokens past the first `drop` to `stream`, at the
+  // times the client sees them: far-side emissions inside a partition window
+  // only become client-visible when the window heals.
+  auto deliver_tokens = [&](uint32_t a, size_t drop, std::vector<double>* stream) {
+    const int replica = attempts[a].replica;
+    const std::vector<double>& times = metrics_of(a).token_times_s;
+    for (size_t k = drop; k < times.size(); ++k) {
+      stream->push_back(deliver_time(replica, times[k]));
+    }
+  };
 
   int64_t lost_tokens = 0;
   for (size_t i = 0; i < num_requests; ++i) {
     const Request& original = stamped.requests[i];
     if (shed[i]) {
-      RequestMetrics m;
-      m.id = original.id;
-      m.qos = original.qos;
-      m.arrival_s = original.arrival_time_s;
-      m.deadline_s = original.deadline_s;
-      m.failed_s = original.arrival_time_s;
-      m.failure = FailureKind::kShed;
-      merged.requests[i] = m;
+      RequestMetrics& out = merged.requests.emplace_back();
+      out.id = original.id;
+      out.qos = original.qos;
+      out.arrival_s = original.arrival_time_s;
+      out.deadline_s = original.deadline_s;
+      out.failed_s = original.arrival_time_s;
+      out.failure = FailureKind::kShed;
       ++merged.num_shed;
       continue;
     }
-    const auto& chain = chains[i];
     // Walk the attempt chain reconstructing the client-visible token stream.
     // `carried` holds tokens the client already consumed from attempts whose
     // service was preserved across a hop: a live migration's destination
@@ -1773,192 +1799,176 @@ SimResult ClusterSimulator::Run(const Trace& trace) {
     // lost). A crash hop restarts the stream — everything so far is lost,
     // matching the plain retry semantics.
     std::vector<double> carried;
-    std::vector<double> fresh;
     int64_t emitted = 0;
     int64_t wasted = 0;
     int64_t cached = 0;
     int64_t crash_retries = 0;
     int64_t num_migrated_in = 0;
     double first_sched = -1.0;
-    const RequestMetrics* final_attempt = nullptr;
-    int final_replica = chain.back().replica;
-    for (size_t a = 0; a < chain.size(); ++a) {
-      SimResult& replica_result = results[static_cast<size_t>(chain[a].replica)];
-      size_t slot = find_slot(chain[a].replica, original.id, chain[a].arrival_s);
-      CHECK_NE(slot, kNoSlot);
-      consumed[static_cast<size_t>(chain[a].replica)][slot] = true;
-      const RequestMetrics& am = replica_result.requests[slot];
+    auto tally = [&](const RequestMetrics& am) {
       emitted += static_cast<int64_t>(am.token_times_s.size());
       wasted += am.wasted_tokens;
       cached += am.cached_prefill_tokens;
+    };
+    for (uint32_t a = chains[i].first;; a = attempts[a].next) {
+      const Attempt& attempt = attempts[a];
+      const RequestMetrics& am = metrics_of(a);
+      tally(am);
       if (am.failure == FailureKind::kHedgeCancelled) {
         ++merged.hedges_cancelled;
       }
       if (first_sched < 0.0) {
         first_sched = am.first_scheduled_s;
       }
-      if (chain[a].migrated_in) {
+      if (attempt.migrated_in) {
         ++num_migrated_in;
-        fresh = am.token_times_s;  // Resumed past `carried`: all fresh.
-      } else {
-        size_t drop = std::min(carried.size(), am.token_times_s.size());
-        fresh.assign(am.token_times_s.begin() + static_cast<long>(drop),
-                     am.token_times_s.end());
       }
-      // Far-side emissions inside a partition window only become
-      // client-visible when the window heals.
-      if (!partition_windows_[static_cast<size_t>(chain[a].replica)].empty()) {
-        for (double& t : fresh) {
-          t = deliver_time(chain[a].replica, t);
-        }
+      if (attempt.next == kNone) {
+        break;  // The final attempt's tokens join the stream below.
       }
-      if (a + 1 < chain.size()) {
-        bool preserved =
-            (am.failure == FailureKind::kMigrated && chain[a + 1].migrated_in) ||
-            am.failure == FailureKind::kDegradedDrain;
-        if (preserved) {
-          carried.insert(carried.end(), fresh.begin(), fresh.end());
-        } else {
-          carried.clear();  // Crash hop: the retry restarts the stream.
-          first_sched = -1.0;
-          if (am.failure != FailureKind::kTimeout) {
-            // Timeout hops are client re-offers, counted in timeout_retries.
-            ++crash_retries;
-          }
-        }
+      bool preserved =
+          (am.failure == FailureKind::kMigrated && attempts[attempt.next].migrated_in) ||
+          am.failure == FailureKind::kDegradedDrain;
+      if (preserved) {
+        size_t drop =
+            attempt.migrated_in ? 0 : std::min(carried.size(), am.token_times_s.size());
+        deliver_tokens(a, drop, &carried);
       } else {
-        final_attempt = &am;
+        carried.clear();  // Crash hop: the retry restarts the stream.
+        first_sched = -1.0;
+        if (am.failure != FailureKind::kTimeout) {
+          // Timeout hops are client re-offers, counted in timeout_retries.
+          ++crash_retries;
+        }
       }
     }
-    std::vector<double> stream = carried;
-    stream.insert(stream.end(), fresh.begin(), fresh.end());
+    // The attempt whose stream the client is served: the chain's last, unless
+    // a hedge or a partition duplicate below finished first visibly.
+    uint32_t winner = chains[i].last;
+    auto visible_finish = [&](uint32_t a) {
+      const RequestMetrics& am = metrics_of(a);
+      return am.completed() ? deliver_time(attempts[a].replica, am.completion_s) : kInfinity;
+    };
     // Hedge resolution, from the final simulated data (re-simulation after
     // cancellation can only move completions earlier, so the decided winner
     // may even have improved — whichever attempt actually finished first is
     // the one the client was served from).
     int64_t hedged = 0;
-    if (hedges[i].issued) {
+    const uint32_t hedge = hedges.empty() ? kNone : hedges[i];
+    if (hedge != kNone) {
       hedged = 1;
-      SimResult& hedge_result = results[static_cast<size_t>(hedges[i].replica)];
-      size_t hslot = find_slot(hedges[i].replica, original.id, hedges[i].arrival_s);
-      CHECK_NE(hslot, kNoSlot);
-      consumed[static_cast<size_t>(hedges[i].replica)][hslot] = true;
-      const RequestMetrics& hm = hedge_result.requests[hslot];
-      emitted += static_cast<int64_t>(hm.token_times_s.size());
-      wasted += hm.wasted_tokens;
-      cached += hm.cached_prefill_tokens;
+      const RequestMetrics& hm = metrics_of(hedge);
+      tally(hm);
       if (hm.failure == FailureKind::kHedgeCancelled) {
         ++merged.hedges_cancelled;
       }
-      double p_fin = final_attempt->completed()
-                         ? deliver_time(final_replica, final_attempt->completion_s)
-                         : kInfinity;
-      double h_fin =
-          hm.completed() ? deliver_time(hedges[i].replica, hm.completion_s) : kInfinity;
-      if (h_fin < p_fin) {
+      if (visible_finish(hedge) < visible_finish(winner)) {
         ++merged.hedges_won;
-        size_t drop = std::min(carried.size(), hm.token_times_s.size());
-        stream = carried;
-        for (size_t k = drop; k < hm.token_times_s.size(); ++k) {
-          stream.push_back(deliver_time(hedges[i].replica, hm.token_times_s[k]));
-        }
         if (carried.empty()) {
           first_sched = hm.first_scheduled_s;
         }
-        final_attempt = &hm;
-        final_replica = hedges[i].replica;
+        winner = hedge;
       }
     }
     // Partition reconciliation: pick the client-visible winner between the
-    // far (partitioned) attempt and its near-side duplicate, deliver exactly
-    // one stream, and audit the outcome against partition_conservation.
-    if (pdups[i].issued) {
-      SimResult& dup_result = results[static_cast<size_t>(pdups[i].replica)];
-      size_t dslot = find_slot(pdups[i].replica, original.id, pdups[i].arrival_s);
-      CHECK_NE(dslot, kNoSlot);
-      consumed[static_cast<size_t>(pdups[i].replica)][dslot] = true;
-      const RequestMetrics& dm = dup_result.requests[dslot];
-      emitted += static_cast<int64_t>(dm.token_times_s.size());
-      wasted += dm.wasted_tokens;
-      cached += dm.cached_prefill_tokens;
-      double f_fin = final_attempt->completed()
-                         ? deliver_time(final_replica, final_attempt->completion_s)
-                         : kInfinity;
-      double d_fin =
-          dm.completed() ? deliver_time(pdups[i].replica, dm.completion_s) : kInfinity;
+    // far (partitioned) attempt and its near-side duplicate, and deliver
+    // exactly one stream.
+    bool reconciled = false;
+    bool far_wins = false;
+    bool loser_completed = false;
+    double winner_fin = kInfinity;
+    const uint32_t dup = pdup_of(i);
+    if (dup != kNone) {
+      const RequestMetrics& dm = metrics_of(dup);
+      tally(dm);
+      double f_fin = visible_finish(winner);
+      double d_fin = visible_finish(dup);
       if (f_fin < kInfinity || d_fin < kInfinity) {
-        bool far_wins = f_fin <= d_fin;  // Ties go to the original attempt.
-        const RequestMetrics* loser = far_wins ? &dm : final_attempt;
+        reconciled = true;
+        far_wins = f_fin <= d_fin;  // Ties go to the original attempt.
+        winner_fin = far_wins ? f_fin : d_fin;
+        loser_completed = metrics_of(far_wins ? dup : winner).completed();
         if (!far_wins) {
-          size_t drop = std::min(carried.size(), dm.token_times_s.size());
-          stream = carried;
-          for (size_t k = drop; k < dm.token_times_s.size(); ++k) {
-            stream.push_back(deliver_time(pdups[i].replica, dm.token_times_s[k]));
-          }
           if (carried.empty()) {
             first_sched = dm.first_scheduled_s;
           }
-          final_attempt = &dm;
-          final_replica = pdups[i].replica;
+          winner = dup;
         }
         ++partition_reconciled;
-        if (options_.replica.checker != nullptr) {
-          PartitionReconcile rec;
-          rec.request_id = original.id;
-          rec.partition_begin_s = pdups[i].p_begin;
-          rec.partition_end_s = pdups[i].p_end;
-          rec.winner_far = far_wins;
-          rec.winner_token_times_s = stream;
-          rec.winner_completion_s = far_wins ? f_fin : d_fin;
-          rec.delivered_token_times_s = stream;
-          rec.delivered_completion_s = rec.winner_completion_s;
-          // Client-side suppression: once a winner is delivered, the losing
-          // completion never reaches the client, whether or not the cancel
-          // caught the loser mid-service.
-          rec.loser_suppressed = true;
-          rec.loser_completed = loser->completed();
-          rec.output_tokens = original.output_tokens;
-          options_.replica.checker->CheckPartitionReconcile(rec);
-        }
       }
     }
-    RequestMetrics m = *final_attempt;
-    m.token_times_s = stream;
-    if (m.completed()) {
-      m.completion_s = deliver_time(final_replica, m.completion_s);
+    // The winner's metrics move into the merged result. With nothing
+    // carried, its own token vector becomes the stream in place; otherwise
+    // the stream is `carried` followed by the winner's tokens past what the
+    // client already has.
+    const int winner_replica = attempts[winner].replica;
+    RequestMetrics& wm = metrics_of(winner);
+    if (carried.empty()) {
+      if (!partition_windows_[static_cast<size_t>(winner_replica)].empty()) {
+        for (double& t : wm.token_times_s) {
+          t = deliver_time(winner_replica, t);
+        }
+      }
+    } else {
+      size_t drop = attempts[winner].migrated_in
+                        ? 0
+                        : std::min(carried.size(), wm.token_times_s.size());
+      deliver_tokens(winner, drop, &carried);
+      wm.token_times_s = std::move(carried);
+    }
+    RequestMetrics& out = merged.requests.emplace_back(std::move(wm));
+    if (reconciled && options_.replica.checker != nullptr) {
+      // Audit the delivered outcome against partition_conservation.
+      PartitionReconcile rec;
+      rec.request_id = original.id;
+      rec.partition_begin_s = pdups[i].p_begin;
+      rec.partition_end_s = pdups[i].p_end;
+      rec.winner_far = far_wins;
+      rec.winner_token_times_s = out.token_times_s;
+      rec.winner_completion_s = winner_fin;
+      rec.delivered_token_times_s = out.token_times_s;
+      rec.delivered_completion_s = rec.winner_completion_s;
+      // Client-side suppression: once a winner is delivered, the losing
+      // completion never reaches the client, whether or not the cancel
+      // caught the loser mid-service.
+      rec.loser_suppressed = true;
+      rec.loser_completed = loser_completed;
+      rec.output_tokens = original.output_tokens;
+      options_.replica.checker->CheckPartitionReconcile(rec);
+    }
+    if (out.completed()) {
+      out.completion_s = deliver_time(winner_replica, out.completion_s);
     }
     // Latency metrics measure from the client's original arrival, covering
     // every failed attempt, backoff wait, and migration transfer.
-    m.arrival_s = original.arrival_time_s;
-    m.deadline_s = original.deadline_s;
+    out.arrival_s = original.arrival_time_s;
+    out.deadline_s = original.deadline_s;
     if (original.deadline_s > 0.0 &&
         deadline_abs[i] > original.arrival_time_s + original.deadline_s) {
       // Client timeout-retries restarted the clock; goodput judges against
       // the final re-offer's window.
-      m.deadline_s = deadline_abs[i] - original.arrival_time_s;
+      out.deadline_s = deadline_abs[i] - original.arrival_time_s;
     }
-    m.first_scheduled_s = first_sched;
-    m.retries = crash_retries;
-    m.migrations = num_migrated_in;
-    m.hedges = hedged;
-    m.wasted_tokens = wasted;
+    out.first_scheduled_s = first_sched;
+    out.retries = crash_retries;
+    out.migrations = num_migrated_in;
+    out.hedges = hedged;
+    out.wasted_tokens = wasted;
     // Every attempt's cache-served prefill was real reuse on its replica.
-    m.cached_prefill_tokens = cached;
+    out.cached_prefill_tokens = cached;
     if (failure_override[i].first != FailureKind::kNone) {
-      m.failure = failure_override[i].first;
-      m.failed_s = failure_override[i].second;
+      out.failure = failure_override[i].first;
+      out.failed_s = failure_override[i].second;
     }
-    lost_tokens += emitted - static_cast<int64_t>(stream.size());
-    merged.requests[i] = m;
+    lost_tokens += emitted - static_cast<int64_t>(out.token_times_s.size());
   }
-  // Forked siblings (parallel sampling) belong to no routing chain; append
-  // them so their tokens and TBT samples stay in the merged metrics.
+  // Forked siblings (parallel sampling) belong to no routing chain and sit
+  // past their replica's sub-trace; append them so their tokens and TBT
+  // samples stay in the merged metrics.
   for (int r = 0; r < n; ++r) {
-    const SimResult& result = results[static_cast<size_t>(r)];
-    for (size_t slot = 0; slot < result.requests.size(); ++slot) {
-      if (!consumed[static_cast<size_t>(r)][slot]) {
-        merged.requests.push_back(result.requests[slot]);
-      }
+    std::vector<RequestMetrics>& slots = results[static_cast<size_t>(r)].requests;
+    for (size_t slot = sub[static_cast<size_t>(r)].size(); slot < slots.size(); ++slot) {
+      merged.requests.push_back(std::move(slots[slot]));
     }
   }
 

@@ -155,6 +155,15 @@ void FaultInjector::ApplyTimeouts(Trace* trace) const {
   }
 }
 
+bool FaultInjector::ChangesDeadlines(const Trace& trace) const {
+  if (options_.request_timeout_probability > 0.0 && options_.request_timeout_s > 0.0) {
+    return true;
+  }
+  // TimeoutFor is 0 here, which changes only a negative deadline.
+  return std::any_of(trace.requests.begin(), trace.requests.end(),
+                     [](const Request& request) { return request.deadline_s < 0.0; });
+}
+
 double IterationJitterFactor(uint64_t seed, int replica_id, int64_t iteration,
                              double probability, double max_extra) {
   if (probability <= 0.0 || max_extra <= 0.0) {

@@ -155,6 +155,8 @@ class FaultInjector {
   // Stamps TimeoutFor into Request::deadline_s for every request that does
   // not already carry a deadline.
   void ApplyTimeouts(Trace* trace) const;
+  // False when ApplyTimeouts would leave every deadline of `trace` as it is.
+  bool ChangesDeadlines(const Trace& trace) const;
 
   const FaultOptions& options() const { return options_; }
 

@@ -1,5 +1,5 @@
 // Cross-commit golden telemetry: pins the byte length and FNV-1a 64 hash of
-// every telemetry CSV for five fixed runs. Two runs of one build agreeing
+// every telemetry CSV for six fixed runs. Two runs of one build agreeing
 // (determinism_test.cc) cannot catch a change that shifts every run the same
 // way; these stored values can. A refactor of the simulator, the statistics
 // or the CSV writers must leave every entry below unchanged. A change that
@@ -17,6 +17,7 @@
 #include "src/simulator/cluster_simulator.h"
 #include "src/simulator/replica_simulator.h"
 #include "src/simulator/telemetry.h"
+#include "src/verify/invariant_checker.h"
 #include "src/workload/diurnal.h"
 #include "src/workload/session_trace.h"
 #include "src/workload/trace.h"
@@ -216,6 +217,75 @@ TEST(GoldenTelemetryTest, RoundRobinClusterRound) {
       {"tbt", 1117101, 0x9195914b64bd2a1aull},
       {"aggregate", 1219, 0x84cdaec4e1bb8781ull},
       {"domains", 60, 0x082af2d94786519cull},
+  };
+  ExpectGolden(result, expected);
+}
+
+// Attempt chains that take every branch of the cluster merge in one run:
+// crash retries, client timeout re-offers, live migrations, hedges (won and
+// not won), partition redispatches reconciled under the checker, and forked
+// parallel-sampling siblings.
+TEST(GoldenTelemetryTest, EveryMergeBranchOnOneCluster) {
+  InvariantChecker checker;
+  ClusterOptions options;
+  options.replica = MistralSarathi();
+  options.replica.scheduler = SarathiConfig(256, 8);
+  options.replica.kv_capacity_tokens = 16384;
+  options.replica.kv_max_seq_len = 4096;
+  options.replica.checker = &checker;
+  options.num_replicas = 6;
+  options.routing = RoutingPolicy::kLeastOutstandingWork;
+  options.faults.seed = 11;
+  options.faults.mtbf_s = 10.0;
+  options.faults.mttr_s = 1.0;
+  options.faults.min_outage_s = 0.25;
+  options.faults.request_timeout_probability = 0.2;
+  options.faults.request_timeout_s = 4.0;
+  options.faults.num_domains = 3;
+  options.faults.domain_mtbf_s = 8.0;
+  options.faults.domain_mttr_s = 2.0;
+  options.faults.min_domain_outage_s = 1.5;
+  options.faults.domain_partition_fraction = 1.0;
+  options.fault_horizon_s = 60.0;
+  options.timeout_retry_max = 2;
+  options.degraded_failover = FailoverMode::kLiveMigrate;
+  options.migration_delay_s = 2.5;
+  options.hedge_after_s = 0.1;
+  options.slowdown_overrides = {
+      {{2.0, 40.0, 3.0}}, {}, {}, {{5.0, 7.0, 2.0}, {12.0, 14.0, 2.0}}, {{8.0, 10.0, 2.0}}};
+  TraceOptions trace_options;
+  trace_options.num_requests = 120;
+  trace_options.qps = 6.0;
+  trace_options.seed = 13;
+  Trace trace = GenerateTrace(OpenChatShareGpt4(), trace_options);
+  for (size_t i = 0; i < trace.size(); ++i) {
+    Request& r = trace.requests[i];
+    r.prompt_tokens = std::min<int64_t>(r.prompt_tokens, 1024);
+    r.output_tokens = std::min<int64_t>(r.output_tokens, 256);
+    if (i % 8 == 0) {
+      r.num_samples = 2;
+    }
+  }
+  SimResult result = ClusterSimulator(options).Run(trace);
+  int64_t crash_retries = 0;
+  for (const RequestMetrics& m : result.requests) {
+    crash_retries += m.retries;
+  }
+  ASSERT_GT(crash_retries, 0);
+  ASSERT_GT(result.timeout_retries, 0);
+  ASSERT_GT(result.migrations, 0);
+  ASSERT_GT(result.hedges_won, 0);
+  ASSERT_GT(result.hedges_issued, result.hedges_won);
+  ASSERT_GT(result.partition_redispatches, 0);
+  ASSERT_GT(result.partition_reconciled, 0);
+  ASSERT_GT(result.requests.size(), trace.size());  // Forked siblings.
+  EXPECT_TRUE(checker.ok()) << checker.Report();
+  const Golden expected[5] = {
+      {"iterations", 85, 0xd257bb300148d19dull},
+      {"requests", 13286, 0xa75a1135b88b10b1ull},
+      {"tbt", 507197, 0xa59dc79919f4ec8dull},
+      {"aggregate", 1264, 0x9d5be3aee30e48ddull},
+      {"domains", 114, 0xb4ebb9be87860ca6ull},
   };
   ExpectGolden(result, expected);
 }
