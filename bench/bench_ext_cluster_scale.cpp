@@ -146,7 +146,6 @@ int main(int argc, char** argv) {
   bool checker_clean = serial_checker.ok() && parallel_checker.ok() &&
                        parallel_checker.iterations_checked() > 0;
 
-  // Both legs are timed the same way, as the median of kTimedRuns runs.
   double serial_s = MedianWallS([&] { run_fleet(1, nullptr); });
   // On a single-core host the parallel leg inlines onto the identical serial
   // path; re-timing it would only measure noise (see bench_perf_selfcheck).
